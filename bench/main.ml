@@ -11,7 +11,6 @@
      dune exec bench/main.exe -- wal          -- write-ahead-log ablation (writes BENCH_wal.json)
      dune exec bench/main.exe -- profile      -- observability bench (writes BENCH_profile.json)
      dune exec bench/main.exe -- joins        -- join-order/cost-model bench (writes BENCH_joins.json)
-     dune exec bench/main.exe -- exec         -- compiled-vs-interpreted execution bench (writes BENCH_exec.json)
      dune exec bench/main.exe -- updates      -- incremental-maintenance bench (writes BENCH_updates.json)
      dune exec bench/main.exe -- storage      -- paged-storage/buffer-pool bench (writes BENCH_storage.json)
      dune exec bench/main.exe -- server       -- concurrent-session server bench (writes BENCH_server.json)
@@ -33,7 +32,6 @@ let known =
     ("wal", fun scale -> Experiments.Ablation.run_wal ~scale ());
     ("profile", fun scale -> Experiments.Observe.run ~scale ());
     ("joins", fun scale -> Experiments.Joins.run ~scale ());
-    ("exec", fun scale -> Experiments.Exec_bench.run ~scale ());
     ("updates", fun scale -> Experiments.Updates.run ~scale ());
     ("storage", fun scale -> Experiments.Storage.run ~scale ());
     ("server", fun scale -> Experiments.Server_bench.run ~scale ());
@@ -126,7 +124,7 @@ let () =
             (fun (n, _) ->
               not
                 (List.mem n
-                   [ "ablation"; "cache"; "wal"; "profile"; "joins"; "exec"; "updates"; "storage"; "server" ]))
+                   [ "ablation"; "cache"; "wal"; "profile"; "joins"; "updates"; "storage"; "server" ]))
             known
       | names ->
           List.map

@@ -26,7 +26,7 @@ let help_text =
   .base name(col type, ...)      define a base relation (types: integer|char)
   .index name(col) [ordered]     build a hash (or ordered/range) index
   .options [magic off|on|sup|auto] [strategy naive|semi] [indexderived on|off]
-           [joinorder syntactic|greedy|costed] [exec interpreted|compiled]
+           [joinorder syntactic|greedy|costed]
            [maintenance off|counting|dred|auto] [sanitize on|off]
                                  set query-processing options (sanitize audits
                                  engine invariants after every SQL statement)
@@ -177,12 +177,6 @@ let set_options st words =
         | "greedy" -> set Rdbms.Planner.Greedy; go rest
         | "costed" -> set Rdbms.Planner.Costed; go rest
         | _ -> Error ("unknown join order " ^ v))
-    | "exec" :: v :: rest ->
-        let set m = st.options <- { st.options with exec = m } in
-        (match v with
-        | "interpreted" -> set Rdbms.Engine.Interpreted; go rest
-        | "compiled" -> set Rdbms.Engine.Compiled; go rest
-        | _ -> Error ("unknown exec backend " ^ v))
     | "sanitize" :: v :: rest -> (
         match v with
         | "on" | "off" ->
@@ -199,8 +193,8 @@ let set_options st words =
   in
   on_result (go words) ~ok:(fun () ->
       printf
-        "options: magic=%s strategy=%s indexderived=%b joinorder=%s exec=%s maintenance=%s \
-         sanitize=%b cache=%b\n"
+        "options: magic=%s strategy=%s indexderived=%b joinorder=%s maintenance=%s sanitize=%b \
+         cache=%b\n"
         (match st.options.Session.optimize with
         | Core.Compiler.Opt_off -> "off"
         | Core.Compiler.Opt_on -> "on"
@@ -212,9 +206,6 @@ let set_options st words =
         | Rdbms.Planner.Syntactic -> "syntactic"
         | Rdbms.Planner.Greedy -> "greedy"
         | Rdbms.Planner.Costed -> "costed")
-        (match st.options.Session.exec with
-        | Rdbms.Engine.Interpreted -> "interpreted"
-        | Rdbms.Engine.Compiled -> "compiled")
         (Core.Incremental.mode_to_string (Session.maintenance_mode st.session))
         (Rdbms.Engine.sanitize_enabled (Session.engine st.session))
         st.use_cache)

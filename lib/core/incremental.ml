@@ -389,7 +389,7 @@ let derived_cols plan p =
 let ensure_tables t plan =
   Engine.suspend_logging t.engine @@ fun () ->
   let scratch_of tbl cols =
-    List.iter (fun s -> recreate t s cols) [ Names.delta tbl; Names.new_delta tbl; Names.diff tbl ]
+    List.iter (fun s -> recreate t s cols) [ Names.delta tbl; Names.new_delta tbl ]
   in
   List.iter
     (fun node ->
@@ -463,7 +463,6 @@ let eval_node t plan = function
           let mt = Names.mat m in
           clear t (Names.delta mt);
           clear t (Names.new_delta mt);
-          clear t (Names.diff mt);
           exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.delta mt) mt))
         members;
       if rec_rules <> [] then begin
@@ -548,8 +547,7 @@ let dred_del t plan ~del_changed ~chg ~rederived ~label ~members ~exit_rules ~re
       let od = Names.overdel m in
       clear t od;
       clear t (Names.delta od);
-      clear t (Names.new_delta od);
-      clear t (Names.diff od))
+      clear t (Names.new_delta od))
     members;
   (* seed: derivations that used at least one deleted upstream tuple;
      clique-member occurrences read the (still old) materialization *)
@@ -683,8 +681,7 @@ let dred_ins t plan ~ins_changed ~chg ~label ~members ~exit_rules ~rec_rules =
     (fun m ->
       let mt = Names.mat m in
       clear t (Names.delta mt);
-      clear t (Names.new_delta mt);
-      clear t (Names.diff mt))
+      clear t (Names.new_delta mt))
     members;
   List.iter
     (fun (head, rule) ->
@@ -692,18 +689,22 @@ let dred_ins t plan ~ins_changed ~chg ~label ~members ~exit_rules ~rec_rules =
         (fun (sql, _) -> exec t ("INSERT INTO " ^ Names.new_delta (Names.mat head) ^ " " ^ sql))
         (subset_variants plan ~changed:upstream_changed ~delta_of:Names.ins_delta rule))
     (exit_rules @ rec_rules);
+  (* the loop's member step by hand: the EXCEPT fills the (empty) delta
+     table directly and its affected count is the number of new tuples *)
   let any = ref false in
   List.iter
     (fun m ->
-      let mt = Names.mat m in
-      exec t
-        (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)"
-           (Names.diff mt) (Names.new_delta mt) mt);
-      exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.delta mt) (Names.diff mt));
-      exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" mt (Names.delta mt));
-      exec t
-        (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.ins_delta m) (Names.diff mt));
-      if Engine.table_cardinality t.engine (Names.delta mt) > 0 then any := true)
+      let mt = Names.mat m and delta = Names.delta (Names.mat m) in
+      match
+        Engine.exec t.engine
+          (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" delta
+             (Names.new_delta mt) mt)
+      with
+      | Engine.Affected n when n > 0 ->
+          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" mt delta);
+          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.ins_delta m) delta);
+          any := true
+      | _ -> ())
     members;
   if !any && rec_rules <> [] then begin
     let rules =

@@ -87,12 +87,22 @@ let run_prep ctx bucket p =
   Timer.Phases.record ctx.phases bucket (fun () ->
       with_phase_io ctx bucket (fun () -> ignore (Engine.exec_prepared ctx.engine p)))
 
-let count_prep ctx p =
+(* [target <- source EXCEPT current], the termination-check set
+   difference of both strategies. *)
+let prep_except ctx ~target ~source ~current =
+  prep ctx
+    (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" target source
+       current)
+
+(* Run a [prep_except] statement into an empty table: its affected count
+   is the number of genuinely new tuples, so no separate COUNT( * ) probe
+   is needed. *)
+let fill_prep ctx p =
   Timer.Phases.record ctx.phases "termination" (fun () ->
       with_phase_io ctx "termination" (fun () ->
           match Engine.exec_prepared ctx.engine p with
-          | Engine.Rows { rows = [ [| Rdbms.Value.Int n |] ]; _ } -> n
-          | _ -> failwith "COUNT(*) did not return a single integer"))
+          | Engine.Affected n -> n
+          | _ -> failwith "INSERT ... EXCEPT did not report an affected count"))
 
 let create_table ctx ?(with_index = false) name types =
   exec ctx "create_drop" (Datalog.Sqlgen.create_table ~name ~types ());
@@ -126,15 +136,14 @@ type naive_member = {
   nm_truncate_next : Engine.prepared;
   nm_truncate_diff : Engine.prepared;
   nm_fill_diff : Engine.prepared;  (** diff <- next EXCEPT current *)
-  nm_count_diff : Engine.prepared;
-  nm_truncate_self : Engine.prepared;
-  nm_swap_in : Engine.prepared;  (** current <- next *)
+  nm_absorb : Engine.prepared;  (** current <- diff *)
 }
 
 let eval_clique_naive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rules =
   (* member tables start empty; each iteration recomputes F from scratch
-     into next tables and swaps. Scratch tables are created once and
-     truncated between iterations instead of dropped and recreated. *)
+     into next tables and absorbs what is new. Scratch tables are created
+     once and truncated between iterations instead of dropped and
+     recreated. *)
   List.iter (fun (p, types) -> create_table ctx ~with_index:true p types) members;
   List.iter
     (fun (p, types) ->
@@ -162,13 +171,8 @@ let eval_clique_naive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rules =
           nm_pred = p;
           nm_truncate_next = prep ctx ("TRUNCATE TABLE " ^ next);
           nm_truncate_diff = prep ctx ("TRUNCATE TABLE " ^ diff);
-          nm_fill_diff =
-            prep ctx
-              (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" diff
-                 next p);
-          nm_count_diff = prep ctx (Printf.sprintf "SELECT COUNT(*) FROM %s" diff);
-          nm_truncate_self = prep ctx ("TRUNCATE TABLE " ^ p);
-          nm_swap_in = prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" p next);
+          nm_fill_diff = prep_except ctx ~target:diff ~source:next ~current:p;
+          nm_absorb = prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" p diff);
         })
       members
   in
@@ -182,23 +186,21 @@ let eval_clique_naive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rules =
     List.iter (fun nm -> run_prep ctx "create_drop" nm.nm_truncate_next) member_preps;
     List.iter (fun p -> run_prep ctx "eval" p) fact_preps;
     List.iter (fun p -> run_prep ctx "eval" p) rule_preps;
-    (* termination: next EXCEPT current, per member *)
-    let deltas = ref [] in
-    List.iter
-      (fun nm ->
-        run_prep ctx "create_drop" nm.nm_truncate_diff;
-        run_prep ctx "termination" nm.nm_fill_diff;
-        let n = count_prep ctx nm.nm_count_diff in
-        deltas := (nm.nm_pred, n) :: !deltas;
-        if n > 0 then changed := true)
-      member_preps;
-    (* swap: current <- next (a full table copy, as the paper laments) *)
-    List.iter
-      (fun nm ->
-        run_prep ctx "create_drop" nm.nm_truncate_self;
-        run_prep ctx "copy" nm.nm_swap_in)
-      member_preps;
-    end_iteration ctx ~label ~index:!iterations ~deltas:(List.rev !deltas) snap
+    (* termination: next EXCEPT current, per member. Clique members occur
+       only positively in their own rules (stratification), so F is
+       monotone and current is a subset of next: absorbing the difference
+       leaves current = next without the paper's full-table swap. *)
+    let deltas =
+      List.map
+        (fun nm ->
+          run_prep ctx "create_drop" nm.nm_truncate_diff;
+          let n = fill_prep ctx nm.nm_fill_diff in
+          run_prep ctx "copy" nm.nm_absorb;
+          if n > 0 then changed := true;
+          (nm.nm_pred, n))
+        member_preps
+    in
+    end_iteration ctx ~label ~index:!iterations ~deltas snap
   done;
   List.iter
     (fun (p, _) ->
@@ -213,42 +215,35 @@ let eval_clique_naive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rules =
 type seminaive_member = {
   sm_pred : string;
   sm_truncate_cand : Engine.prepared;
-  sm_truncate_diff : Engine.prepared;
-  sm_fill_diff : Engine.prepared;  (** diff <- candidates EXCEPT current *)
-  sm_count_diff : Engine.prepared;
   sm_truncate_delta : Engine.prepared;
-  sm_new_delta : Engine.prepared;  (** delta <- diff *)
+  sm_fill_delta : Engine.prepared;  (** delta <- candidates EXCEPT current *)
   sm_absorb : Engine.prepared;  (** current <- delta *)
-  sm_accumulate : Engine.prepared option;  (** optional: sink <- diff *)
+  sm_accumulate : Engine.prepared option;  (** optional: sink <- delta *)
 }
 
 (* The per-member statements of the semi-naive inner loop, over the given
-   table name. The member table and its [delta]/[new_delta]/[diff] scratch
+   table name. The member table and its [delta]/[new_delta] scratch
    tables must already exist. *)
 let seminaive_member ctx ?accumulate p =
-  let delta = Names.delta p and cand = Names.new_delta p and diff = Names.diff p in
+  let delta = Names.delta p and cand = Names.new_delta p in
+  let copy_delta_into target =
+    prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" target delta)
+  in
   {
     sm_pred = p;
     sm_truncate_cand = prep ctx ("TRUNCATE TABLE " ^ cand);
-    sm_truncate_diff = prep ctx ("TRUNCATE TABLE " ^ diff);
-    sm_fill_diff =
-      prep ctx
-        (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" diff
-           cand p);
-    sm_count_diff = prep ctx (Printf.sprintf "SELECT COUNT(*) FROM %s" diff);
     sm_truncate_delta = prep ctx ("TRUNCATE TABLE " ^ delta);
-    sm_new_delta = prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" delta diff);
-    sm_absorb = prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" p delta);
-    sm_accumulate =
-      Option.map
-        (fun sink -> prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" sink diff))
-        accumulate;
+    sm_fill_delta = prep_except ctx ~target:delta ~source:cand ~current:p;
+    sm_absorb = copy_delta_into p;
+    sm_accumulate = Option.map copy_delta_into accumulate;
   }
 
 (* The semi-naive inner loop itself, shared between full LFP evaluation
    and incremental propagation (Core.Incremental): assumes each member's
    delta table holds the seed (already absorbed into the member table)
-   and iterates to the fixpoint. *)
+   and iterates to the fixpoint. Every rule variant runs before any delta
+   table is refilled, so all of them read the previous iteration's
+   deltas. *)
 let seminaive_loop ctx ~label ~rule_preps ~member_preps =
   let iterations = ref 0 in
   let changed = ref true in
@@ -259,22 +254,20 @@ let seminaive_loop ctx ~label ~rule_preps ~member_preps =
     let snap = begin_iteration ctx in
     List.iter (fun sm -> run_prep ctx "create_drop" sm.sm_truncate_cand) member_preps;
     List.iter (fun p -> run_prep ctx "eval" p) rule_preps;
-    let deltas = ref [] in
-    List.iter
-      (fun sm ->
-        run_prep ctx "create_drop" sm.sm_truncate_diff;
-        run_prep ctx "termination" sm.sm_fill_diff;
-        let n = count_prep ctx sm.sm_count_diff in
-        deltas := (sm.sm_pred, n) :: !deltas;
-        (match sm.sm_accumulate with
-        | Some p when n > 0 -> run_prep ctx "copy" p
-        | _ -> ());
-        run_prep ctx "create_drop" sm.sm_truncate_delta;
-        run_prep ctx "copy" sm.sm_new_delta;
-        run_prep ctx "copy" sm.sm_absorb;
-        if n > 0 then changed := true)
-      member_preps;
-    end_iteration ctx ~label ~index:!iterations ~deltas:(List.rev !deltas) snap
+    let deltas =
+      List.map
+        (fun sm ->
+          run_prep ctx "create_drop" sm.sm_truncate_delta;
+          let n = fill_prep ctx sm.sm_fill_delta in
+          (match sm.sm_accumulate with
+          | Some p when n > 0 -> run_prep ctx "copy" p
+          | _ -> ());
+          run_prep ctx "copy" sm.sm_absorb;
+          if n > 0 then changed := true;
+          (sm.sm_pred, n))
+        member_preps
+    in
+    end_iteration ctx ~label ~index:!iterations ~deltas snap
   done;
   !iterations
 
@@ -290,7 +283,6 @@ let eval_clique_seminaive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rul
     (fun (p, types) ->
       create_table ctx (Names.delta p) types;
       create_table ctx (Names.new_delta p) types;
-      create_table ctx (Names.diff p) types;
       copy_into ctx (Names.delta p) p)
     members;
   let rule_preps =
@@ -310,8 +302,7 @@ let eval_clique_seminaive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rul
   List.iter
     (fun (p, _) ->
       drop_table ctx (Names.delta p);
-      drop_table ctx (Names.new_delta p);
-      drop_table ctx (Names.diff p))
+      drop_table ctx (Names.new_delta p))
     members;
   iterations
 
@@ -418,7 +409,7 @@ let execute engine ?(strategy = Seminaive) ?(index_derived = false) ?(max_iterat
 (* Re-entering the semi-naive loop over existing tables (incremental
    view maintenance). The caller owns table lifecycle: each member table
    holds the current state, its delta table the seed (already absorbed
-   into the member), and the new-delta/diff scratch tables exist. *)
+   into the member), and the new-delta scratch table exists. *)
 
 let resume_seminaive engine ?(max_iterations = 100_000) ?observer ~label ~members ~rules
     ?accumulate () =

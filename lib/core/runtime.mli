@@ -8,8 +8,9 @@
     paper's breakdown:
     - ["create_drop"] — creating and dropping temporary tables;
     - ["eval"] — evaluating rule right-hand sides (INSERT ... SELECT);
-    - ["termination"] — set differences and COUNT( * ) termination checks;
-    - ["copy"] — table-to-table copies. *)
+    - ["termination"] — the EXCEPT set differences; each one's affected
+      count is the number of new tuples, which decides termination;
+    - ["copy"] — table-to-table copies (absorbing new tuples). *)
 
 type strategy =
   | Naive
@@ -72,9 +73,9 @@ val resume_seminaive :
   int
 (** Re-enters the semi-naive inner loop over {e existing} tables, for
     incremental view maintenance (Core.Incremental). [members] are table
-    names; for each member [m] the tables [m], [Names.delta m],
-    [Names.new_delta m] and [Names.diff m] must already exist, with
-    [delta m] holding the seed delta {e already absorbed} into [m].
+    names; for each member [m] the tables [m], [Names.delta m] and
+    [Names.new_delta m] must already exist, with [delta m] holding the
+    seed delta {e already absorbed} into [m].
     [rules] are [(member, select_sql)] pairs whose SELECT reads the delta
     tables and whose rows are inserted into [Names.new_delta member].
     [accumulate m = Some sink] additionally copies every genuinely-new

@@ -228,7 +228,6 @@ type options = {
   index_derived : bool;
   max_iterations : int;
   join_order : Rdbms.Planner.join_order;
-  exec : Engine.exec_backend;
 }
 
 let default_options =
@@ -238,7 +237,6 @@ let default_options =
     index_derived = false;
     max_iterations = 100_000;
     join_order = Rdbms.Planner.Syntactic;
-    exec = Engine.Compiled;
   }
 
 type answer = {
@@ -256,13 +254,10 @@ let query_goal t ?(options = default_options) ?on_iteration goal =
      mode is restored on every exit so the setting stays query-scoped *)
   let saved_join_order = Engine.join_order t.engine in
   Engine.set_join_order t.engine options.join_order;
-  let saved_backend = Engine.exec_backend t.engine in
-  Engine.set_exec_backend t.engine options.exec;
   (* every exit — success or error — goes through here so the trace's
      query_begin/query_end events always pair up *)
   let finish result =
     Engine.set_join_order t.engine saved_join_order;
-    Engine.set_exec_backend t.engine saved_backend;
     (match t.trace with
     | Some tr ->
         let ms = Timer.now_ms () -. t0 in

@@ -113,16 +113,12 @@ type options = {
   join_order : Rdbms.Planner.join_order;
       (** how the DBMS orders joins in the generated SQL; applied to the
           engine for the duration of the query and restored afterwards *)
-  exec : Rdbms.Engine.exec_backend;
-      (** which execution backend runs the generated SQL (see
-          {!Rdbms.Engine.exec_backend}); applied to the engine for the
-          duration of the query and restored afterwards *)
 }
 
 val default_options : options
 (** Semi-naive, no optimization, no derived-table indexes, a 100_000
-    iteration cap, syntactic join order, compiled execution — the
-    paper's baseline configuration on the fast backend. *)
+    iteration cap, syntactic join order — the paper's baseline
+    configuration. *)
 
 type answer = {
   compiled : Compiler.compiled;

@@ -22,7 +22,8 @@ val next : string -> string
 (** Naive evaluation's "next iteration" table. *)
 
 val diff : string -> string
-(** Scratch table for the termination-check set difference. *)
+(** Naive evaluation's termination-check set difference ([next] minus the
+    member table). *)
 
 val facts_base : string -> string
 (** Auxiliary base predicate for a derived predicate that also has facts
@@ -30,8 +31,9 @@ val facts_base : string -> string
 
 val scratch_tables : string -> string list
 (** Every scratch-table name the LFP runtime may allocate for a clique
-    member: [next], [delta], [new_delta] and [diff]. Used to create them
-    up front and to verify cleanup leaves none behind. *)
+    member: [next] and [diff] (naive), [delta] and [new_delta]
+    (semi-naive). Used to drop them after an interrupted loop and to
+    verify cleanup leaves none behind. *)
 
 (** {2 Incremental view maintenance} *)
 

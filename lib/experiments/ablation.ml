@@ -19,7 +19,7 @@ let tc_operator_vs_sql_loop ~depth =
      transitive-closure operator (no temp tables, early-exit termination).";
   let s, tree = Common.tree_session ~depth in
   let goal = Workload.Queries.ancestor_goal tree.Graphgen.t_root in
-  let answer = Common.ok (Session.query_goal s ~options:Common.paper_options goal) in
+  let answer = Common.ok (Session.query_goal s ~options:Session.default_options goal) in
   let sql_ms = answer.Session.run.Core.Runtime.exec_ms in
   let sql_rows = List.length answer.Session.run.Core.Runtime.rows in
   let engine = Session.engine s in
@@ -55,7 +55,7 @@ let derived_indexing ~depth =
   let run index_derived =
     let s, tree = Common.tree_session ~depth in
     let goal = Workload.Queries.ancestor_goal tree.Graphgen.t_root in
-    let options = { Common.paper_options with index_derived } in
+    let options = { Session.default_options with index_derived } in
     let answer = Common.ok (Session.query_goal s ~options goal) in
     ( answer.Session.run.Core.Runtime.exec_ms,
       Rdbms.Stats.total_io answer.Session.run.Core.Runtime.io )
@@ -83,7 +83,7 @@ let base_indexing ~depth =
     ignore (Common.ok (Session.add_facts s "parent" (Graphgen.to_rows tree.Graphgen.t_edges)));
     Common.ok (Session.load_rules s Workload.Queries.ancestor_rules);
     let goal = Workload.Queries.ancestor_goal tree.Graphgen.t_root in
-    let answer = Common.ok (Session.query_goal s ~options:Common.paper_options goal) in
+    let answer = Common.ok (Session.query_goal s ~options:Session.default_options goal) in
     ( answer.Session.run.Core.Runtime.exec_ms,
       Rdbms.Stats.total_io answer.Session.run.Core.Runtime.io )
   in
@@ -108,13 +108,13 @@ let topdown_vs_bottom_up ~depth =
     (label, answer.Session.run.Core.Runtime.exec_ms,
      List.length answer.Session.run.Core.Runtime.rows)
   in
-  let bottom_up = run_bu "bottom-up semi-naive" Common.paper_options in
+  let bottom_up = run_bu "bottom-up semi-naive" Session.default_options in
   let magic =
-    run_bu "bottom-up + magic" { Common.paper_options with optimize = Core.Compiler.Opt_on }
+    run_bu "bottom-up + magic" { Session.default_options with optimize = Core.Compiler.Opt_on }
   in
   let sup =
     run_bu "bottom-up + supplementary"
-      { Common.paper_options with optimize = Core.Compiler.Opt_supplementary }
+      { Session.default_options with optimize = Core.Compiler.Opt_supplementary }
   in
   let rules =
     List.filter Datalog.Ast.is_rule
@@ -160,7 +160,7 @@ let join_ordering ~depth =
     let s, tree = Common.tree_session ~depth in
     Rdbms.Engine.set_join_order (Session.engine s) mode;
     let node = List.hd (Graphgen.tree_nodes_at_level tree 3) in
-    let options = { Common.paper_options with optimize = Core.Compiler.Opt_on } in
+    let options = { Session.default_options with optimize = Core.Compiler.Opt_on } in
     let answer = Common.ok (Session.query_goal s ~options (Workload.Queries.ancestor_goal node)) in
     ( answer.Session.run.Core.Runtime.exec_ms,
       answer.Session.run.Core.Runtime.io.Rdbms.Stats.rows_read,
@@ -187,7 +187,7 @@ let statement_cache ?(json_path = "BENCH_cache.json") ~depth () =
     let last = ref None in
     let ms =
       Common.measure ~repeat:3 (fun () ->
-          let answer = Common.ok (Session.query_goal s ~options:Common.paper_options goal) in
+          let answer = Common.ok (Session.query_goal s ~options:Session.default_options goal) in
           last := Some answer;
           answer.Session.run.Core.Runtime.exec_ms)
     in

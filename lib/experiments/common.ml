@@ -8,15 +8,12 @@ let median = Dkb_util.Percentile.median
 
 let measure ~repeat f = median (List.init repeat (fun _ -> f ()))
 
-(* The paper-shape experiments assert wall-clock ratio properties (e.g.
-   "magic wins by >= 2x at low selectivity") that were calibrated against
-   the tuple-at-a-time reference executor. Pin that backend so
-   engine-speed optimizations (the compiled backend) don't compress the
-   measured ratios; Exec_bench contrasts the two backends explicitly. *)
-let paper_options =
-  { Session.default_options with exec = Rdbms.Engine.Interpreted }
-
+(* Every experiment starts here. Experiments run back to back in one
+   process, and the sub-millisecond runs of the quick-scale shapes are
+   easily doubled by a major-GC slice working off an earlier experiment's
+   garbage, so start each one from a collected heap. *)
 let section id description =
+  Gc.full_major ();
   Printf.printf "\n=== %s ===\n%s\n\n" id description
 
 let shape label holds =

@@ -9,15 +9,10 @@ val median : float list -> float
 val measure : repeat:int -> (unit -> float) -> float
 (** Median of [repeat] runs of a thunk returning one sample (ms). *)
 
-val paper_options : Core.Session.options
-(** {!Core.Session.default_options} with the interpreted execution
-    backend pinned: the paper-shape experiments' wall-clock ratio
-    thresholds were calibrated against the tuple-at-a-time executor, so
-    they keep measuring that configuration ({!Exec_bench} contrasts the
-    backends explicitly). *)
-
 val section : string -> string -> unit
-(** Prints an experiment banner: id and description. *)
+(** Prints an experiment banner (id and description) after a full major
+    collection, so no experiment pays for the garbage an earlier one in
+    the same process left behind. *)
 
 val shape : string -> bool -> bool
 (** Prints a PASS/FAIL line for a qualitative shape claim from the paper;

@@ -182,7 +182,7 @@ let lfp_mode edges head (name, mode) =
   let engine = Session.engine s in
   if mode = Planner.Costed then ignore (Engine.exec engine "ANALYZE" : Engine.result);
   let options =
-    { Common.paper_options with optimize = Core.Compiler.Opt_on; join_order = mode }
+    { Session.default_options with optimize = Core.Compiler.Opt_on; join_order = mode }
   in
   let stats = Engine.stats engine in
   let before = Stats.copy stats in

@@ -118,7 +118,7 @@ type lfp_run = {
 }
 
 let lfp_query s ~optimize head =
-  let options = { Common.paper_options with optimize } in
+  let options = { Session.default_options with optimize } in
   Common.ok (Session.query_goal s ~options (Workload.Queries.ancestor_goal head))
 
 (* One LFP evaluation against a cold cache, with the pool-miss delta. *)

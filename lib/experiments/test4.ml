@@ -39,7 +39,7 @@ let run ?(scale = Common.Full) () =
     "t_e vs D_rel/D_tot, semi-naive evaluation, no optimization.\n\
      Paper: with D_tot fixed t_e is insensitive to D_rel (the whole transitive\n\
      closure is computed regardless); with D_rel fixed t_e grows with D_tot.";
-  let options = Common.paper_options in
+  let options = Session.default_options in
   (* method 1: one tree, queries rooted at each level *)
   let s, tree = Common.tree_session ~depth in
   let d_tot = List.length tree.Graphgen.t_edges in

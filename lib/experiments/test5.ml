@@ -20,7 +20,7 @@ type result_t = {
 }
 
 let run_query s node strategy =
-  let options = { Common.paper_options with strategy } in
+  let options = { Session.default_options with strategy } in
   let answer = Common.ok (Session.query_goal s ~options (Workload.Queries.ancestor_goal node)) in
   (answer.Session.run.Core.Runtime.exec_ms, Rdbms.Stats.total_io answer.Session.run.Core.Runtime.io)
 

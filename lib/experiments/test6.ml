@@ -22,10 +22,22 @@ type result_t = {
   naive_work_larger : bool;
 }
 
+(* Each step takes a few ms at full scale, so GC work left over from
+   earlier experiments in the same process, or one host stall, landing in
+   a single run's copy step would decide the dominance verdict. Each run
+   starts from a collected heap (outside the timed region), so it pays
+   for its own garbage only, and each bucket is the median of a few
+   runs. *)
+let repeat = 3
+
 let measure s goal strategy =
-  let options = { Common.paper_options with strategy } in
-  let answer = Common.ok (Session.query_goal s ~options goal) in
-  answer.Session.run.Core.Runtime.phases
+  let options = { Session.default_options with strategy } in
+  let runs =
+    List.init repeat (fun _ ->
+        Gc.full_major ();
+        (Common.ok (Session.query_goal s ~options goal)).Session.run.Core.Runtime.phases)
+  in
+  List.map (fun b -> (b, Common.median (List.map (fun ph -> Phases.get ph b) runs))) buckets
 
 let run ?(scale = Common.Full) () =
   let depth =
@@ -46,8 +58,7 @@ let run ?(scale = Common.Full) () =
   let rows =
     List.map
       (fun strategy ->
-        let phases = measure s goal strategy in
-        let bucket_ms = List.map (fun b -> (b, Phases.get phases b)) buckets in
+        let bucket_ms = measure s goal strategy in
         let total_ms = List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 bucket_ms in
         { strategy = Core.Runtime.strategy_to_string strategy; bucket_ms; total_ms })
       [ Core.Runtime.Naive; Core.Runtime.Seminaive ]

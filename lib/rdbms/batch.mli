@@ -1,6 +1,6 @@
 (** A growable buffer of rows — the unit of data flow between compiled
-    operators ({!Exec_compiled}). Compared to the interpreted executor's
-    [Tuple.t list] plumbing, a batch appends in amortized O(1) with no
+    operators ({!Exec_compiled}). Compared to [Tuple.t list] plumbing (as
+    in the reference {!Executor}), a batch appends in amortized O(1) with no
     per-row cons cell and never needs a [List.rev] to restore order.
 
     Batches hold references to the same [Tuple.t] arrays the storage layer

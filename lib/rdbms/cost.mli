@@ -1,5 +1,5 @@
 (** Cost model for physical plans, in page-read units ({!Stats.pages_of_bytes}
-    and the per-operator charges of {!Executor}): a sequential scan costs
+    and the per-operator charges of {!Exec_compiled}): a sequential scan costs
     the relation's page count — the *real* heap page count for a
     disk-backed table, so estimates track measured buffer-pool I/O — an
     index probe costs one page plus the pages of the matched rows, and
@@ -41,4 +41,4 @@ val col_ndv : Catalog.table -> string -> float option
 
 val estimate : Plan.t -> est
 (** Bottom-up estimate of a full plan. Agrees operator by operator with
-    what {!Executor} charges, up to cardinality estimation error. *)
+    what {!Exec_compiled} charges, up to cardinality estimation error. *)

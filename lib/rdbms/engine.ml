@@ -13,12 +13,6 @@ exception Sql_error = Sql_error.Sql_error
    TRUNCATE and INSERT do not bump the catalog version, so this is what
    lets the LFP inner loop replan when its delta tables grow or shrink by
    orders of magnitude (counted in {!Stats.card_replans}). *)
-(* Which execution backend runs SELECT / INSERT ... SELECT plans: the
-   tuple-at-a-time interpreter ({!Executor}, the oracle) or the
-   closure-compiled batch backend ({!Exec_compiled}). Both charge the same
-   Stats at the same points and return the same rows in the same order. *)
-type exec_backend = Interpreted | Compiled
-
 type cached_plan = {
   cp_plan : Plan.t;
   cp_version : int;
@@ -26,9 +20,9 @@ type cached_plan = {
   cp_card_key : (string * int) list; (* table -> log2 cardinality bucket *)
   cp_est : Cost.est Lazy.t; (* planner's estimate — forced only when traced *)
   cp_exec : Exec_compiled.t Lazy.t;
-      (* compiled form, forced on first use under the Compiled backend; it
-         shares the plan's cache entry, so every invalidation (catalog
-         version, join-order mode, cardinality-bucket drift) drops both *)
+      (* compiled form, forced on first execution; it shares the plan's
+         cache entry, so every invalidation (catalog version, join-order
+         mode, cardinality-bucket drift) drops both *)
 }
 
 type prepared = {
@@ -100,7 +94,6 @@ type t = {
   mutable next_sid : int; (* session-id allocator (engine-scoped, not global) *)
   mutable storage : storage option;
   mutable join_order : Planner.join_order;
-  mutable backend : exec_backend;
   stmt_cache : (string, prepared) Hashtbl.t; (* SQL text -> prepared *)
   mutable cache_enabled : bool;
   mutable tick : int;
@@ -134,7 +127,6 @@ let create () =
     next_sid = 0;
     storage = None;
     join_order = Planner.Syntactic;
-    backend = Compiled;
     stmt_cache = Hashtbl.create 64;
     cache_enabled = true;
     tick = 0;
@@ -266,8 +258,6 @@ let with_session t ~sid ~charge f =
 
 let set_join_order t mode = t.join_order <- mode
 let join_order t = t.join_order
-let set_exec_backend t backend = t.backend <- backend
-let exec_backend t = t.backend
 let catalog t = t.catalog
 let stats t = t.stats
 
@@ -600,13 +590,27 @@ let find_index_spec catalog name =
           |> Option.map (fun idx -> (tbl.Catalog.tbl_name, Ordered_index.column idx, true)))
     (Catalog.tables catalog)
 
-(* Run an ad-hoc (uncached) plan under the current backend. The one-time
-   closure compile is paid per execution here; repeated statements go
-   through the prepared paths, which cache the compiled form. *)
-let run_plan t plan =
-  match t.backend with
-  | Interpreted -> Executor.run t.stats plan
-  | Compiled -> Exec_compiled.run (Exec_compiled.compile t.stats plan)
+(* Run an ad-hoc (uncached) plan, charging [stats]. The one-time closure
+   compile is paid per execution here; repeated statements go through the
+   prepared paths, which cache the compiled form. *)
+let run_plan stats plan = Exec_compiled.run (Exec_compiled.compile stats plan)
+
+(* The rows of [table] a DELETE or UPDATE touches, found by a full scan.
+   The scan is charged here, once, at the relation's page count; the
+   predicate runs against a scratch Stats so it is not charged twice. A
+   measured relation charges its own pool misses instead (the scratch
+   Stats only swallows the simulated charge, never pool charges). *)
+let scan_victims t table rel where =
+  if not (measured rel) then
+    t.stats.Stats.page_reads <- t.stats.Stats.page_reads + Relation.pages rel;
+  match where with
+  | None -> Relation.to_list rel
+  | Some cond ->
+      let from = [ { Sql_ast.table; alias = None } ] in
+      run_plan (Stats.create ())
+        (plan_query_or_fail t
+           (Sql_ast.Q_select
+              { distinct = false; items = [ Sql_ast.Sel_star ]; from; where = Some cond; group_by = [] }))
 
 (* Execute a statement that has already been counted in [stats.statements].
    SELECT and INSERT ... SELECT are planned from scratch here; the cached
@@ -697,11 +701,8 @@ let run_stmt_raw t stmt =
       typecheck_insert_select t table plan;
       emit_plan t plan;
       note_est_of_plan t plan;
-      (match t.backend with
-      | Interpreted -> insert_rows ~trust:true t table (Executor.run t.stats plan)
-      | Compiled ->
-          insert_batch ~trust:true t table
-            (Exec_compiled.run_batch (Exec_compiled.compile t.stats plan)))
+      insert_batch ~trust:true t table
+        (Exec_compiled.run_batch (Exec_compiled.compile t.stats plan))
   | Sql_ast.Delete { table; where } ->
       let tbl =
         match Catalog.find_table t.catalog table with
@@ -761,32 +762,7 @@ let run_stmt_raw t stmt =
             List.filter
               (fun row -> List.for_all (fun (_, pos, v) -> Value.equal row.(pos) v) eqs)
               matched
-        | None -> (
-            (* a measured relation's victim scan below charges its own
-               pool misses (the scratch Stats only swallows the scan's
-               simulated double-charge, never pool charges) *)
-            if not (measured rel) then
-              t.stats.Stats.page_reads <- t.stats.Stats.page_reads + Relation.pages rel;
-            match where with
-            | None -> Relation.to_list rel
-            | Some cond ->
-                let q =
-                  Sql_ast.Q_select
-                    {
-                      distinct = false;
-                      items = [ Sql_ast.Sel_star ];
-                      from = [ { Sql_ast.table; alias = None } ];
-                      where = Some cond;
-                      group_by = [];
-                    }
-                in
-                let plan =
-                  try Planner.plan_query ~join_order:t.join_order t.catalog q
-                  with Planner.Plan_error msg -> raise (Sql_error msg)
-                in
-                (* evaluate the predicate without double-charging a scan *)
-                let scratch = Stats.create () in
-                Executor.run scratch plan)
+        | None -> scan_victims t table rel where
       in
       let deleted =
         List.fold_left
@@ -843,28 +819,7 @@ let run_stmt_raw t stmt =
             (pos, value_of))
           sets
       in
-      if not (measured rel) then
-        t.stats.Stats.page_reads <- t.stats.Stats.page_reads + Relation.pages rel;
-      let victims =
-        match where with
-        | None -> Relation.to_list rel
-        | Some cond ->
-            let q =
-              Sql_ast.Q_select
-                {
-                  distinct = false;
-                  items = [ Sql_ast.Sel_star ];
-                  from = [ { Sql_ast.table; alias = None } ];
-                  where = Some cond;
-                  group_by = [];
-                }
-            in
-            let plan =
-              try Planner.plan_query ~join_order:t.join_order t.catalog q with
-              | Planner.Plan_error msg -> raise (Sql_error msg)
-            in
-            Executor.run (Stats.create ()) plan
-      in
+      let victims = scan_victims t table rel where in
       let updated =
         List.fold_left
           (fun acc old ->
@@ -893,7 +848,7 @@ let run_stmt_raw t stmt =
       in
       emit_plan t plan;
       note_est_of_plan t plan;
-      let rows = run_plan t plan in
+      let rows = run_plan t.stats plan in
       let columns =
         Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of plan))
       in
@@ -1059,7 +1014,7 @@ let exec_snapshot t ~ts sql =
           in
           emit_plan t plan;
           note_est_of_plan t plan;
-          let rows = run_plan t plan in
+          let rows = run_plan t.stats plan in
           let columns =
             Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of plan))
           in
@@ -1193,11 +1148,7 @@ let exec_prepared t p =
     match p.p_stmt with
     | Sql_ast.Select { query; order_by } ->
         let cp = select_plan_of_prepared t p query order_by in
-        let rows =
-          match t.backend with
-          | Interpreted -> Executor.run t.stats cp.cp_plan
-          | Compiled -> Exec_compiled.run (Lazy.force cp.cp_exec)
-        in
+        let rows = Exec_compiled.run (Lazy.force cp.cp_exec) in
         let columns =
           Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of cp.cp_plan))
         in
@@ -1205,11 +1156,7 @@ let exec_prepared t p =
     | Sql_ast.Insert_select { table; query } as stmt ->
         with_stmt_frame t stmt (fun () ->
             let cp = insert_select_plan_of_prepared t p table query in
-            match t.backend with
-            | Interpreted -> insert_rows ~trust:true t table (Executor.run t.stats cp.cp_plan)
-            | Compiled ->
-                insert_batch ~trust:true t table
-                  (Exec_compiled.run_batch (Lazy.force cp.cp_exec)))
+            insert_batch ~trust:true t table (Exec_compiled.run_batch (Lazy.force cp.cp_exec)))
     | stmt ->
         (* no plan to cache, but a re-execution still skips lexing and
            parsing — count it so the counters mean "compiled form reused" *)
@@ -1328,12 +1275,9 @@ let table_cardinality t name =
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE *)
 
-(* Profiled execution under the current backend; both produce profile
-   trees whose counter sums equal the statement's Stats delta. *)
-let run_profiled_dispatch t plan =
-  match t.backend with
-  | Interpreted -> Executor.run_profiled t.stats plan
-  | Compiled -> Exec_compiled.run_profiled (Exec_compiled.compile t.stats plan)
+(* Profiled execution: the profile tree's counter sums equal the
+   statement's Stats delta. *)
+let run_profiled t plan = Exec_compiled.run_profiled (Exec_compiled.compile t.stats plan)
 
 let exec_analyze t sql =
   charged t @@ fun () ->
@@ -1347,7 +1291,7 @@ let exec_analyze t sql =
         | Failure msg -> raise (Sql_error msg)
       in
       let before = Stats.copy t.stats in
-      let rows, profile = run_profiled_dispatch t plan in
+      let rows, profile = run_profiled t plan in
       let delta = Stats.diff t.stats before in
       let columns = Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of plan)) in
       (Rows { columns; rows }, profile, delta)
@@ -1359,7 +1303,7 @@ let exec_analyze t sql =
         with_stmt_frame t stmt (fun () ->
             let plan = plan_query_or_fail t query in
             typecheck_insert_select t table plan;
-            let rows, profile = run_profiled_dispatch t plan in
+            let rows, profile = run_profiled t plan in
             source := Some profile;
             insert_rows ~trust:true t table rows)
       in

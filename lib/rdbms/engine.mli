@@ -39,18 +39,6 @@ val set_join_order : t -> Planner.join_order -> unit
 
 val join_order : t -> Planner.join_order
 
-(** Execution backend for SELECT / INSERT ... SELECT plans. [Compiled]
-    (the default) translates each plan once into a tree of closures over
-    {!Batch.t} buffers ({!Exec_compiled}) — prepared statements cache the
-    compiled form alongside the plan, with identical invalidation.
-    [Interpreted] walks the plan AST per operator call ({!Executor}) and
-    serves as the differential-testing oracle. Both backends return the
-    same rows in the same order and charge identical {!Stats}. *)
-type exec_backend = Interpreted | Compiled
-
-val set_exec_backend : t -> exec_backend -> unit
-val exec_backend : t -> exec_backend
-
 val stats : t -> Stats.t
 (** Cumulative counters; callers may snapshot with {!Stats.copy} and take
     {!Stats.diff}. *)

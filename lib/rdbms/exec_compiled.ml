@@ -1,13 +1,12 @@
 module Timer = Dkb_util.Timer
 
-(* Compiled execution backend: a one-time pass translates a physical plan
-   into a tree of closures, so the per-run hot path has no plan-AST
-   dispatch, and operators exchange Batch.t buffers instead of consed
-   lists. Charging discipline is copied from Executor operator by
-   operator — same counters bumped at the same points with the same
-   amounts — so Stats deltas and EXPLAIN ANALYZE profile sums are
-   identical across backends. Result rows come out in the same order as
-   the interpreted executor produces them. *)
+(* The engine's executor: a one-time pass translates a physical plan into
+   a tree of closures, so the per-run hot path has no plan-AST dispatch,
+   and operators exchange Batch.t buffers instead of consed lists. The
+   reference interpreter (Executor) defines the semantics: same counters
+   bumped at the same points with the same amounts, same rows in the same
+   order, same profile trees — the differential test battery holds the
+   two to it. *)
 
 type t = {
   label : string Lazy.t; (* op_label of the plan root, for the profile root node *)
@@ -37,10 +36,10 @@ module Key_tbl = Hashtbl.Make (struct
   let hash k = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 k
 end)
 
-(* Scan charge, mirroring Executor: simulated for in-memory relations;
-   for a heap-backed (measured) relation the buffer pool charges the
-   iteration's misses directly, so [scanning] only attributes the miss
-   delta to the profile node afterwards. *)
+(* Scan charge: simulated for in-memory relations; for a heap-backed
+   (measured) relation the buffer pool charges the iteration's misses
+   directly, so [scanning] only attributes the miss delta to the profile
+   node afterwards. *)
 let charge_scan stats node rel =
   if not (Relation.backed rel) then begin
     let pages = Relation.pages rel in
@@ -92,7 +91,7 @@ let identity_projection exprs input_width =
 
    Heap-backed relations are excluded: their scans must actually read the
    heap so the page I/O is measured, and skipping the scan here would
-   make the compiled backend report less I/O than the interpreted oracle. *)
+   report less I/O than the scan actually costs. *)
 let rec bare_relation plan =
   match plan with
   | Plan.Seq_scan { table; filter = None; _ }
@@ -104,9 +103,9 @@ let rec bare_relation plan =
   | _ -> None
 
 (* "Run" a bare-relation side without materializing it: charge the stats
-   and build the profile-node chain exactly as the interpreted executor
-   would for the same subtree (scan pages read on the innermost node,
-   [cardinal] rows out of every operator on the chain). *)
+   and build the profile-node chain exactly as running the subtree would
+   (scan pages read on the innermost node, [cardinal] rows out of every
+   operator on the chain). *)
 let phantom_side stats parent chain rel =
   let n = Relation.cardinal rel in
   let pages = Relation.pages rel in
@@ -412,8 +411,8 @@ let compile stats plan =
         | None ->
             let fa = child a and fb = child b in
             fun node ->
-              (* right side first, as in the interpreted executor: its rows
-                 seed the exclusion set, which then also dedupes the left *)
+              (* right side first: its rows seed the exclusion set, which
+                 then also dedupes the left *)
               let bb = fb node in
               let bset = Tuple_tbl.create () in
               Batch.iter (fun row -> ignore (Tuple_tbl.add bset row)) bb;
@@ -438,7 +437,7 @@ let compile stats plan =
           Batch.of_array arr
   (* Compile a child operator, wrapping it so that when profiling is on a
      child Profile node is created, attached, timed, and given the child's
-     output cardinality — the compiled mirror of Executor.sub. *)
+     output cardinality. *)
   and child plan =
     let exec = comp plan in
     let label = lazy (Plan.op_label plan) in

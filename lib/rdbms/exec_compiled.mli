@@ -1,12 +1,12 @@
-(** Compiled execution backend: translates a physical plan once into a
-    tree of OCaml closures exchanging {!Batch.t} buffers, then re-runs the
-    closure with no plan-AST dispatch — built for the LFP inner loop,
-    where the same handful of prepared plans execute hundreds of times.
+(** The engine's executor: translates a physical plan once into a tree of
+    OCaml closures exchanging {!Batch.t} buffers, then re-runs the closure
+    with no plan-AST dispatch — built for the LFP inner loop, where the
+    same handful of prepared plans execute hundreds of times.
 
-    Behavioural contract with {!Executor} (the interpreted oracle): same
-    result rows in the same order, same {!Stats} charges at the same
-    points (so statement deltas are identical), and the same
-    EXPLAIN ANALYZE profile-tree sums. *)
+    Contract, checked by a differential battery against the reference
+    interpreter {!Executor}: same result rows in the same order, same
+    {!Stats} charges at the same points, and the same EXPLAIN ANALYZE
+    profile trees. *)
 
 type t
 (** A compiled plan. The engine {!Stats} to charge are captured at compile
@@ -19,10 +19,9 @@ val compile : Stats.t -> Plan.t -> t
 
 val run : t -> Tuple.t list
 val run_batch : t -> Batch.t
-(** Execute, charging the captured {!Stats} exactly as {!Executor.run}
-    would for the same plan against the same data. *)
+(** Execute, charging the captured {!Stats}. *)
 
 val run_profiled : t -> Tuple.t list * Profile.t
 val run_profiled_batch : t -> Batch.t * Profile.t
-(** Like {!Executor.run_profiled}: also builds the per-operator profile
-    tree, whose counter sums equal the statement's Stats delta. *)
+(** Like {!run}, but also builds the per-operator {!Profile.t} tree, whose
+    counter sums equal the statement's Stats delta. *)

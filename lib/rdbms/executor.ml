@@ -204,8 +204,13 @@ let rec go obs plan =
   | Plan.Distinct p ->
       let rows = sub obs p in
       dedupe rows
-  | Plan.Union_all (a, b) -> sub obs a @ sub obs b
-  | Plan.Union_distinct (a, b) -> dedupe (sub obs a @ sub obs b)
+  | Plan.Union_all (a, b) ->
+      (* left side first, so profile children follow the plan's order *)
+      let arows = sub obs a in
+      arows @ sub obs b
+  | Plan.Union_distinct (a, b) ->
+      let arows = sub obs a in
+      dedupe (arows @ sub obs b)
   | Plan.Except_distinct (a, b) ->
       let brows = sub obs b in
       let bset = Tuple.Hashset.of_seq (List.to_seq brows) in

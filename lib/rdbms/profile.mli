@@ -1,5 +1,5 @@
 (** Per-operator execution counters: one node per physical plan operator,
-    populated live by {!Executor.run_profiled} and rendered by
+    populated live by {!Exec_compiled.run_profiled} and rendered by
     [EXPLAIN ANALYZE].
 
     Counter semantics: [reads]/[writes]/[probes] are the simulated-I/O

@@ -171,14 +171,16 @@ let substitute template args =
       (* multi-digit placeholder indexes *)
       let j = ref (i + 1) in
       while !j < n && template.[!j] >= '0' && template.[!j] <= '9' do incr j done;
-      let idx = int_of_string (String.sub template (i + 1) (!j - i - 1)) in
-      if idx > Array.length args then
-        Error (Printf.sprintf "placeholder ?%d but only %d arguments" idx (Array.length args))
-      else begin
-        used.(idx - 1) <- true;
-        Buffer.add_string buf (sql_literal args.(idx - 1));
-        go !j
-      end
+      let digits = String.sub template (i + 1) (!j - i - 1) in
+      match int_of_string_opt digits with
+      | Some idx when idx <= Array.length args ->
+          used.(idx - 1) <- true;
+          Buffer.add_string buf (sql_literal args.(idx - 1));
+          go !j
+      | _ ->
+          (* an index past the argument list, or too large for an int *)
+          Error
+            (Printf.sprintf "placeholder ?%s but only %d arguments" digits (Array.length args))
     end
     else begin
       Buffer.add_char buf template.[i];

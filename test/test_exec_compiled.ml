@@ -1,17 +1,25 @@
-(* Differential tests for the compiled execution backend.
+(* Differential tests for the compiled executor against the reference
+   interpreter ({!Rdbms.Executor}), which the engine does not run: it
+   exists as this battery's oracle.
 
    The contract is stronger than "same answers": for every plan shape the
-   planner can produce, the closure-compiled backend must return the same
-   rows in the same order as the tuple-at-a-time interpreter AND charge
-   the exact same Stats counter delta, statement by statement.  Twin
-   engines (one per backend) execute identical SQL in lockstep so their
-   tables never diverge; the session-level tests do the same for whole
-   LFP evaluations over randomized list/tree/dag data. *)
+   planner can produce, the closure-compiled executor must return the same
+   rows in the same order as the tuple-at-a-time interpreter, charge the
+   exact same Stats, and build the same EXPLAIN ANALYZE profile tree. One
+   engine owns the data: each statement's read side is planned once
+   against its catalog, both executors run that plan, and then the engine
+   executes the statement as usual. Whole LFP evaluations over randomized
+   list/tree/dag data are compared statement by statement from the
+   engine's trace hook. *)
 
 module E = Rdbms.Engine
 module Stats = Rdbms.Stats
 module Profile = Rdbms.Profile
 module Value = Rdbms.Value
+module Sql_ast = Rdbms.Sql_ast
+module Planner = Rdbms.Planner
+module Executor = Rdbms.Executor
+module Exec_compiled = Rdbms.Exec_compiled
 module Rng = Dkb_util.Rng
 module Session = Core.Session
 module Compiler = Core.Compiler
@@ -20,118 +28,130 @@ module Queries = Workload.Queries
 module Common = Experiments.Common
 
 (* ------------------------------------------------------------------ *)
-(* Stats deltas compared structurally (the record is all ints).       *)
+(* Stats charges compare through their rendering, which lists every
+   counter.                                                            *)
 
-let stats_fields (d : Stats.t) =
-  [
-    ("page_reads", d.Stats.page_reads);
-    ("page_writes", d.Stats.page_writes);
-    ("index_probes", d.Stats.index_probes);
-    ("rows_read", d.Stats.rows_read);
-    ("rows_inserted", d.Stats.rows_inserted);
-    ("rows_deleted", d.Stats.rows_deleted);
-    ("tables_created", d.Stats.tables_created);
-    ("tables_dropped", d.Stats.tables_dropped);
-    ("tables_truncated", d.Stats.tables_truncated);
-    ("statements", d.Stats.statements);
-    ("statements_prepared", d.Stats.statements_prepared);
-    ("plan_cache_hits", d.Stats.plan_cache_hits);
-    ("plan_cache_misses", d.Stats.plan_cache_misses);
-    ("txns_committed", d.Stats.txns_committed);
-    ("txns_rolled_back", d.Stats.txns_rolled_back);
-    ("wal_records", d.Stats.wal_records);
-    ("wal_bytes", d.Stats.wal_bytes);
-    ("recoveries", d.Stats.recoveries);
-    ("tables_analyzed", d.Stats.tables_analyzed);
-    ("card_replans", d.Stats.card_replans);
-  ]
-
-let pp_stats fmt d =
-  Format.fprintf fmt "{%s}"
-    (String.concat "; "
-       (List.filter_map
-          (fun (k, v) -> if v = 0 then None else Some (Printf.sprintf "%s=%d" k v))
-          (stats_fields d)))
-
-let stats_t = Alcotest.testable pp_stats (fun a b -> stats_fields a = stats_fields b)
+let check_stats what expected actual =
+  Alcotest.(check string) what (Stats.to_string expected) (Stats.to_string actual)
 
 let row_strings rows =
   List.map (fun row -> Array.to_list (Array.map Value.to_string row)) rows
 
 (* ------------------------------------------------------------------ *)
-(* Twin engines running identical SQL under the two backends.         *)
+(* EXPLAIN ANALYZE profile trees: the per-operator counters must sum
+   exactly to the run's Stats charges, and the two trees must agree node
+   for node (op label, rows, reads, writes, probes — everything except
+   wall time).                                                         *)
 
-type twin = {
-  ei : E.t;  (** interpreted *)
-  ec : E.t;  (** compiled *)
-}
+let rec shape (n : Profile.t) =
+  Printf.sprintf "%s rows=%d reads=%d writes=%d probes=%d" n.Profile.op
+    n.Profile.rows n.Profile.reads n.Profile.writes n.Profile.probes
+  :: List.concat_map shape (Profile.children n)
 
-let twin () =
-  let mk backend =
-    let e = E.create () in
-    E.set_exec_backend e backend;
-    (* the whole differential battery runs with the invariant sanitizer
-       on: any index/relation bookkeeping either backend corrupts turns
-       into an immediate Sql_error at the offending statement *)
-    E.set_sanitize e true;
-    e
+let check_sums what (profile : Profile.t) (delta : Stats.t) =
+  Alcotest.(check int) (what ^ ": reads sum") delta.Stats.page_reads
+    (Profile.total_reads profile);
+  Alcotest.(check int) (what ^ ": writes sum") delta.Stats.page_writes
+    (Profile.total_writes profile);
+  Alcotest.(check int) (what ^ ": probes sum") delta.Stats.index_probes
+    (Profile.total_probes profile)
+
+(* ------------------------------------------------------------------ *)
+(* One plan, both executors.                                           *)
+
+(* The plan of a statement's read side, built against the engine's
+   current catalog and join-order mode: the query of SELECT and
+   INSERT ... SELECT, and the victim scan of DELETE / UPDATE ... WHERE. *)
+let plan_of e sql =
+  let join_order = E.join_order e and catalog = E.catalog e in
+  let victims table cond =
+    Sql_ast.Q_select
+      {
+        distinct = false;
+        items = [ Sql_ast.Sel_star ];
+        from = [ { Sql_ast.table; alias = None } ];
+        where = Some cond;
+        group_by = [];
+      }
   in
-  { ei = mk E.Interpreted; ec = mk E.Compiled }
+  match Rdbms.Sql_parser.parse sql with
+  | Sql_ast.Select { query; order_by } ->
+      Some (Planner.plan_select_stmt ~join_order catalog query order_by)
+  | Sql_ast.Insert_select { query; _ } -> Some (Planner.plan_query ~join_order catalog query)
+  | Sql_ast.Delete { table; where = Some cond } | Sql_ast.Update { table; where = Some cond; _ }
+    ->
+      Some (Planner.plan_query ~join_order catalog (victims table cond))
+  | _ -> None
 
-let set_join_order t mode =
-  E.set_join_order t.ei mode;
-  E.set_join_order t.ec mode
-
-let norm = function
-  | E.Rows { columns; rows } -> `Rows (columns, row_strings rows)
-  | E.Affected n -> `Affected n
-  | E.Done -> `Done
-
-let step t sql =
-  let run e =
-    let before = Stats.copy (E.stats e) in
-    let r = E.exec e sql in
-    (norm r, Stats.diff (E.stats e) before)
+(* Run [plan] under both executors, each charging its own fresh Stats.
+   The compiled closure runs twice, as a cached prepared statement would:
+   each run must match the interpreter's rows (in order) and charges. *)
+let compare_executors label plan =
+  let st_i = Stats.create () in
+  let rows_i = row_strings (Executor.run st_i plan) in
+  let st_c = Stats.create () in
+  let compiled = Exec_compiled.compile st_c plan in
+  List.iter
+    (fun run ->
+      let before = Stats.copy st_c in
+      let rows_c = row_strings (Exec_compiled.run compiled) in
+      let what = Printf.sprintf "%s (compiled run %d)" label run in
+      Alcotest.(check (list (list string))) (what ^ ": rows (in order)") rows_i rows_c;
+      check_stats (what ^ ": stats") st_i (Stats.diff st_c before))
+    [ 1; 2 ];
+  let profiled run =
+    let st = Stats.create () in
+    let _, profile = run st in
+    check_sums label profile st;
+    shape profile
   in
-  let ri, di = run t.ei in
-  let rc, dc = run t.ec in
-  (match (ri, rc) with
-  | `Rows (ci, rowsi), `Rows (cc, rowsc) ->
-      Alcotest.(check (list string)) (sql ^ ": columns") ci cc;
-      Alcotest.(check (list (list string))) (sql ^ ": rows (in order)") rowsi rowsc
-  | `Affected a, `Affected b -> Alcotest.(check int) (sql ^ ": affected") a b
-  | `Done, `Done -> ()
-  | _ -> Alcotest.fail (sql ^ ": result kinds differ between backends"));
-  Alcotest.check stats_t (sql ^ ": stats delta") di dc
+  Alcotest.(check (list string))
+    (label ^ ": profile trees")
+    (profiled (fun st -> Executor.run_profiled st plan))
+    (profiled (fun st -> Exec_compiled.run_profiled (Exec_compiled.compile st plan)))
 
-let steps t sqls = List.iter (step t) sqls
+(* Compare the executors on the statement's plan, then let the engine run
+   it (mutating the shared data for the statements that follow). *)
+let step e sql =
+  Option.iter (compare_executors sql) (plan_of e sql);
+  E.exec e sql
+
+let steps e sqls = List.iter (fun sql -> ignore (step e sql)) sqls
+
+let engine () =
+  let e = E.create () in
+  (* the whole differential battery runs with the invariant sanitizer
+     on: any index/relation bookkeeping the engine corrupts turns into an
+     immediate Sql_error at the offending statement *)
+  E.set_sanitize e true;
+  e
 
 (* Randomized base data: [big] has duplicate keys in a small domain so
    joins fan out, [small] keeps a few keys, [third] starts empty. *)
-let seeded_twin ?(index = true) seed =
-  let t = twin () in
-  steps t
+let seeded_engine ?(index = true) seed =
+  let e = engine () in
+  steps e
     [
       "CREATE TABLE big (k integer, v char)";
       "CREATE TABLE small (k integer, w char)";
       "CREATE TABLE third (k integer, z char)";
     ];
   if index then
-    steps t
+    steps e
       [
         "CREATE INDEX idx_big_k ON big (k)";
         "CREATE INDEX idx_small_k ON small (k)";
       ];
   let rng = Rng.create seed in
   let letter () = Printf.sprintf "s%d" (Rng.int rng 4) in
-  steps t
+  steps e
     (List.init 60 (fun _ ->
          Printf.sprintf "INSERT INTO big VALUES (%d, '%s')" (Rng.int rng 20)
            (letter ()))
     @ List.init 12 (fun _ ->
           Printf.sprintf "INSERT INTO small VALUES (%d, '%s')" (Rng.int rng 20)
             (letter ())));
-  t
+  e
 
 (* Every operator the planner can emit (see test_planner.ml), plus the
    set operations, aggregation and sorting. *)
@@ -157,32 +177,32 @@ let battery =
     "SELECT v FROM big UNION SELECT w FROM small";
     "SELECT v FROM big UNION ALL SELECT w FROM small";
     "SELECT v FROM big EXCEPT SELECT w FROM small";
+    (* the LFP's set difference: stored relation on the right (probed in
+       place), and a filtered right side (materialized) *)
+    "SELECT * FROM big EXCEPT SELECT * FROM small";
+    "SELECT * FROM big EXCEPT SELECT * FROM small WHERE k > 5";
   ]
 
-let run_battery t =
-  (* each statement twice: first run plans (cache miss, compiles the
-     closure tree), second run exercises the cached/lazy-forced path *)
-  List.iter
-    (fun sql ->
-      step t sql;
-      step t sql)
-    battery
+let run_battery e =
+  (* each statement twice: the engine's first run plans (cache miss,
+     compiles the closure tree), its second reuses the cached form *)
+  List.iter (fun sql -> steps e [ sql; sql ]) battery
 
-let test_battery_indexed () = run_battery (seeded_twin 11)
-let test_battery_no_index () = run_battery (seeded_twin ~index:false 12)
+let test_battery_indexed () = run_battery (seeded_engine 11)
+let test_battery_no_index () = run_battery (seeded_engine ~index:false 12)
 
 let test_battery_join_orders () =
-  let t = seeded_twin 13 in
-  step t "ANALYZE";
+  let e = seeded_engine 13 in
+  steps e [ "ANALYZE" ];
   List.iter
     (fun mode ->
-      set_join_order t mode;
-      run_battery t)
+      E.set_join_order e mode;
+      run_battery e)
     [ Rdbms.Planner.Greedy; Rdbms.Planner.Costed; Rdbms.Planner.Syntactic ]
 
 let test_mutations_in_lockstep () =
-  let t = seeded_twin 14 in
-  steps t
+  let e = seeded_engine 14 in
+  steps e
     [
       "INSERT INTO third SELECT k, v FROM big WHERE k < 10";  (* Insert_select *)
       "SELECT k, z FROM third";
@@ -195,93 +215,79 @@ let test_mutations_in_lockstep () =
       "SELECT COUNT(*) FROM third";
     ]
 
-(* ------------------------------------------------------------------ *)
-(* EXPLAIN ANALYZE parity: under BOTH backends the per-operator counters
-   must sum exactly to the statement's Stats delta, and the two profile
-   trees must agree node for node (op label, rows, reads, writes,
-   probes — everything except wall time).                              *)
+(* The semi-naive member step: an INSERT ... EXCEPT into an emptied delta
+   table, whose affected count the loop takes as its new-tuple count. *)
+let test_fill_delta_shape () =
+  let e = seeded_engine 16 in
+  List.iter
+    (fun right ->
+      ignore (step e "TRUNCATE TABLE third");
+      let sql = Printf.sprintf "INSERT INTO third (SELECT * FROM big) EXCEPT (%s)" right in
+      let affected =
+        match step e sql with
+        | E.Affected n -> n
+        | _ -> Alcotest.fail (sql ^ ": no affected count")
+      in
+      Alcotest.(check int) (sql ^ ": affected = rows filled") affected
+        (E.scalar_int e "SELECT COUNT(*) FROM third"))
+    [ "SELECT * FROM small"; "SELECT * FROM small WHERE k > 5" ]
 
-let rec shape (n : Profile.t) =
-  Printf.sprintf "%s rows=%d reads=%d writes=%d probes=%d" n.Profile.op
-    n.Profile.rows n.Profile.reads n.Profile.writes n.Profile.probes
-  :: List.concat_map shape (Profile.children n)
-
-let check_sums what (profile : Profile.t) (delta : Stats.t) =
-  Alcotest.(check int) (what ^ ": reads sum") delta.Stats.page_reads
-    (Profile.total_reads profile);
-  Alcotest.(check int) (what ^ ": writes sum") delta.Stats.page_writes
-    (Profile.total_writes profile);
-  Alcotest.(check int) (what ^ ": probes sum") delta.Stats.index_probes
-    (Profile.total_probes profile)
-
+(* EXPLAIN ANALYZE through the engine: the profile tree it returns sums to
+   the statement's Stats delta, including INSERT ... SELECT's synthetic
+   Insert root; the executors agree on the same plan. *)
 let test_analyze_parity () =
-  let t = seeded_twin 15 in
-  let analyzed =
+  let e = seeded_engine 15 in
+  List.iter
+    (fun sql ->
+      Option.iter (compare_executors sql) (plan_of e sql);
+      let _, profile, delta = E.exec_analyze e sql in
+      check_sums ("analyze " ^ sql) profile delta)
     [
       "SELECT b.v FROM small s, big b WHERE s.k = b.k";
       "SELECT v FROM big WHERE NOT EXISTS (SELECT * FROM small s WHERE s.k = big.k)";
       "SELECT v, COUNT(*) FROM big GROUP BY v ORDER BY 1";
       "INSERT INTO third SELECT k, v FROM big WHERE k < 10";
     ]
-  in
-  List.iter
-    (fun sql ->
-      let pi, di =
-        let _, p, d = E.exec_analyze t.ei sql in
-        (p, d)
-      in
-      let pc, dc =
-        let _, p, d = E.exec_analyze t.ec sql in
-        (p, d)
-      in
-      check_sums ("interpreted " ^ sql) pi di;
-      check_sums ("compiled " ^ sql) pc dc;
-      Alcotest.check stats_t (sql ^ ": analyze deltas") di dc;
-      Alcotest.(check (list string)) (sql ^ ": profile trees") (shape pi) (shape pc))
-    analyzed
 
 (* ------------------------------------------------------------------ *)
-(* Whole-LFP differential through the Session facade: identical data in
-   two sessions, one query per backend, identical answers / iteration
-   counts / execution counters.                                        *)
+(* Whole-LFP differential through the Session facade: every statement
+   the evaluation issues is compared from the engine's trace hook.
+   [Tr_stmt_begin] fires before the statement runs, so the plan sees
+   exactly the tables the engine's own execution is about to read.     *)
 
-let session_with setup =
+let query_compared ?(optimize = Compiler.Opt_off) ?(strategy = Core.Runtime.Seminaive)
+    setup goal label =
   let s = Session.create () in
   setup s;
-  s
-
-let query_both ?(optimize = Compiler.Opt_off) ?(strategy = Core.Runtime.Seminaive)
-    setup goal label =
-  let run exec =
-    (* sanitize on: every generated statement of the LFP loop is followed
-       by a structural audit, and a full invariant check closes the run *)
-    let s = session_with setup in
-    E.set_sanitize (Session.engine s) true;
-    let options = { Session.default_options with exec; optimize; strategy } in
-    match Session.query_goal s ~options goal with
-    | Ok a ->
-        (match E.check_invariants (Session.engine s) with
-        | [] -> ()
-        | vs ->
-            Alcotest.fail
-              (label ^ ": "
-              ^ String.concat "; " (List.map Rdbms.Invariants.violation_to_string vs)));
-        a
-    | Error msg -> Alcotest.fail (label ^ ": " ^ msg)
-  in
-  let ai = run E.Interpreted in
-  let ac = run E.Compiled in
-  let cols_i, rows_i = Session.answer_rows ai in
-  let cols_c, rows_c = Session.answer_rows ac in
-  Alcotest.(check (list string)) (label ^ ": columns") cols_i cols_c;
-  Alcotest.(check (list (list string)))
-    (label ^ ": answer rows (in order)")
-    (row_strings rows_i) (row_strings rows_c);
-  Alcotest.(check (list (pair string int)))
-    (label ^ ": iterations")
-    ai.Session.run.Core.Runtime.iterations ac.Session.run.Core.Runtime.iterations;
-  Alcotest.check stats_t (label ^ ": execution counters")
-    ai.Session.run.Core.Runtime.io ac.Session.run.Core.Runtime.io
+  let e = Session.engine s in
+  (* sanitize on: every generated statement of the LFP loop is followed
+     by a structural audit, and a full invariant check closes the run *)
+  E.set_sanitize e true;
+  let compared = ref 0 in
+  E.set_trace_hook e
+    (Some
+       (function
+       | E.Tr_stmt_begin { sql } ->
+           Option.iter
+             (fun plan ->
+               incr compared;
+               compare_executors (label ^ ": " ^ sql) plan)
+             (plan_of e sql)
+       | _ -> ()));
+  let options = { Session.default_options with optimize; strategy } in
+  let result = Session.query_goal s ~options goal in
+  E.set_trace_hook e None;
+  match result with
+  | Ok a ->
+      (match E.check_invariants e with
+      | [] -> ()
+      | vs ->
+          Alcotest.fail
+            (label ^ ": "
+            ^ String.concat "; " (List.map Rdbms.Invariants.violation_to_string vs)));
+      Alcotest.(check bool) (label ^ ": statements compared") true (!compared > 0);
+      Alcotest.(check bool) (label ^ ": answers") true (a.Session.run.Core.Runtime.rows <> [])
+  | Error msg -> Alcotest.fail (label ^ ": " ^ msg)
 
 let test_lfp_tree () =
   let tree = Graphgen.full_binary_tree ~depth:6 () in
@@ -290,10 +296,10 @@ let test_lfp_tree () =
     Common.ok (Session.load_rules s Queries.ancestor_rules)
   in
   let goal = Queries.ancestor_goal tree.Graphgen.t_root in
-  query_both setup goal "ancestor/tree seminaive";
-  query_both ~strategy:Core.Runtime.Naive setup goal "ancestor/tree naive";
-  query_both ~optimize:Compiler.Opt_on setup goal "ancestor/tree magic";
-  query_both ~optimize:Compiler.Opt_supplementary setup goal
+  query_compared setup goal "ancestor/tree seminaive";
+  query_compared ~strategy:Core.Runtime.Naive setup goal "ancestor/tree naive";
+  query_compared ~optimize:Compiler.Opt_on setup goal "ancestor/tree magic";
+  query_compared ~optimize:Compiler.Opt_supplementary setup goal
     "ancestor/tree supplementary"
 
 let test_lfp_lists () =
@@ -306,8 +312,8 @@ let test_lfp_lists () =
     Common.ok (Session.load_rules s Queries.ancestor_rules)
   in
   let goal = Queries.ancestor_goal (List.hd l.Graphgen.l_heads) in
-  query_both setup goal "ancestor/lists seminaive";
-  query_both ~optimize:Compiler.Opt_on setup goal "ancestor/lists magic"
+  query_compared setup goal "ancestor/lists seminaive";
+  query_compared ~optimize:Compiler.Opt_on setup goal "ancestor/lists magic"
 
 let test_lfp_dag () =
   let d =
@@ -318,10 +324,10 @@ let test_lfp_dag () =
     Common.ok (Queries.setup_edge s d.Graphgen.d_edges);
     Common.ok (Session.load_rules s Queries.tc_rules)
   in
-  query_both setup (Queries.tc_goal_from (List.hd d.Graphgen.d_sources))
+  query_compared setup (Queries.tc_goal_from (List.hd d.Graphgen.d_sources))
     "tc/dag from source";
-  query_both setup Queries.tc_goal_all "tc/dag all";
-  query_both ~optimize:Compiler.Opt_on setup
+  query_compared setup Queries.tc_goal_all "tc/dag all";
+  query_compared ~optimize:Compiler.Opt_on setup
     (Queries.tc_goal_from (List.hd d.Graphgen.d_sources))
     "tc/dag magic"
 
@@ -332,8 +338,8 @@ let test_lfp_same_generation () =
     Common.ok (Session.load_rules s Queries.same_generation_rules)
   in
   let leaf = tree.Graphgen.t_root + ((1 lsl (tree.Graphgen.t_depth - 1)) - 1) in
-  query_both setup (Queries.same_generation_goal leaf) "sg/tree seminaive";
-  query_both ~optimize:Compiler.Opt_on setup
+  query_compared setup (Queries.same_generation_goal leaf) "sg/tree seminaive";
+  query_compared ~optimize:Compiler.Opt_on setup
     (Queries.same_generation_goal leaf)
     "sg/tree magic"
 
@@ -347,6 +353,7 @@ let () =
           Alcotest.test_case "battery under greedy/costed/syntactic" `Quick
             test_battery_join_orders;
           Alcotest.test_case "mutations in lockstep" `Quick test_mutations_in_lockstep;
+          Alcotest.test_case "fill-delta EXCEPT shape" `Quick test_fill_delta_shape;
         ] );
       ( "explain analyze",
         [ Alcotest.test_case "counter sums and profile parity" `Quick test_analyze_parity ] );

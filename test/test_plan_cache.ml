@@ -147,9 +147,9 @@ let test_seminaive_scratch_reuse () =
   Alcotest.(check bool) "plan reuse dominates plan building" true
     (io.Stats.plan_cache_hits > io.Stats.plan_cache_misses);
   Alcotest.(check bool) "loop truncates instead of dropping" true (io.Stats.tables_truncated > 0);
-  (* ancestor + delta + candidate + diff, each created exactly once,
+  (* ancestor + delta + candidate, each created exactly once,
      regardless of the iteration count *)
-  Alcotest.(check int) "tables created once" 4 io.Stats.tables_created;
+  Alcotest.(check int) "tables created once" 3 io.Stats.tables_created;
   Alcotest.(check int) "creates and drops balance" io.Stats.tables_created io.Stats.tables_dropped;
   check_no_leftovers s
 

@@ -253,6 +253,41 @@ let test_profile_matches_iteration_counts () =
       Alcotest.(check int) (label ^ " profile entries = iteration count") reported profiled)
     counted
 
+(* The semi-naive member step fills the delta table straight from the
+   candidates-EXCEPT-current difference, so inside the loop a derived
+   tuple is written once as a candidate, once into the delta and once
+   into its member table. Over a tree every tuple has one derivation, so
+   no candidate repeats an existing tuple and the loop writes at most 3
+   rows per new tuple. The seed (exit rules, first delta copy) is not an
+   iteration and stays outside the ratio. *)
+let test_rows_written_per_tuple () =
+  let s = Session.create () in
+  let tree = Workload.Graphgen.full_binary_tree ~depth:10 () in
+  ok (Workload.Queries.setup_parent s tree.Workload.Graphgen.t_edges);
+  ok (Session.load_rules s Workload.Queries.ancestor_rules);
+  let goal = Workload.Queries.ancestor_goal tree.Workload.Graphgen.t_root in
+  let run strategy =
+    (ok (Session.query_goal s ~options:{ Session.default_options with strategy } goal))
+      .Session.run
+  in
+  let semi = run Core.Runtime.Seminaive and naive = run Core.Runtime.Naive in
+  let sum f = List.fold_left (fun acc ip -> acc + f ip) 0 semi.Core.Runtime.profile in
+  let new_tuples =
+    sum (fun ip -> List.fold_left (fun acc (_, n) -> acc + n) 0 ip.Core.Runtime.ip_deltas)
+  in
+  let loop_inserts = sum (fun ip -> ip.Core.Runtime.ip_io.Rdbms.Stats.rows_inserted) in
+  Alcotest.(check bool)
+    (Printf.sprintf "loop writes <= 3 rows per new tuple (%d rows, %d tuples)" loop_inserts
+       new_tuples)
+    true
+    (new_tuples > 0 && loop_inserts <= 3 * new_tuples);
+  Alcotest.(check (list (pair string int))) "semi-naive iterations"
+    [ ("clique(ancestor)", 9) ] semi.Core.Runtime.iterations;
+  Alcotest.(check (list (pair string int))) "naive iterations"
+    [ ("clique(ancestor)", 10) ] naive.Core.Runtime.iterations;
+  Alcotest.(check (list (pair int int))) "naive = semi-naive"
+    (sorted_pairs semi.Core.Runtime.rows) (sorted_pairs naive.Core.Runtime.rows)
+
 (* ---------------- properties ---------------- *)
 
 let gen_edges = QCheck2.Gen.(list_size (int_range 0 25) (pair (int_bound 8) (int_bound 8)))
@@ -304,6 +339,7 @@ let () =
           Alcotest.test_case "same_generation deltas" `Quick test_iteration_profile;
           Alcotest.test_case "profile entries = iteration counts" `Quick
             test_profile_matches_iteration_counts;
+          Alcotest.test_case "rows written per new tuple" `Quick test_rows_written_per_tuple;
         ] );
       ("properties", [ prop_strategies_and_reference; prop_bound_query_is_slice ]);
     ]

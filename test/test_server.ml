@@ -55,6 +55,24 @@ let test_protocol_basics () =
           (Astring.String.is_infix ~affix:"unknown" msg)
       | Ok _ -> Alcotest.fail "unknown request accepted"))
 
+(* A placeholder index too large for an int is a typed error, not an
+   exception: the server answers ERR and keeps serving the connection. *)
+let test_placeholder_overflow () =
+  let huge = "SELECT ?99999999999999999999" in
+  (match Protocol.substitute huge [ "1" ] with
+  | Error _ -> ()
+  | Ok sql -> Alcotest.fail ("substituted " ^ sql));
+  with_server (fun _engine port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      ignore (ok (Client.prepare c "p" huge));
+      (match Client.exec c "p" [ "1" ] with
+      | Error msg ->
+          Alcotest.(check bool) "err names the placeholder" true
+            (Astring.String.is_infix ~affix:"?99999999999999999999" msg)
+      | Ok _ -> Alcotest.fail "overflowing placeholder accepted");
+      ok (Client.ping c))
+
 let test_writer_gating () =
   with_server (fun _engine port ->
       let c1 = connect port in
@@ -201,6 +219,7 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "protocol basics" `Quick test_protocol_basics;
+          Alcotest.test_case "placeholder overflow" `Quick test_placeholder_overflow;
           Alcotest.test_case "writer gating" `Quick test_writer_gating;
           Alcotest.test_case "snapshot over wire" `Quick test_snapshot_over_wire;
           Alcotest.test_case "disconnect cleanup" `Quick test_disconnect_cleans_up;
