@@ -157,8 +157,16 @@ let build_plan t =
   let registry = Stored_dkb.matviews stored in
   let reg_preds = List.map fst registry in
   let clauses = Stored_dkb.rules_with_head stored reg_preds in
+  (* decided once per plan (a plan is rebuilt whenever the rule base or
+     the registrations change): each decision probes rulesource *)
+  let base_memo = Hashtbl.create 16 in
   let is_base p =
-    Rdbms.Catalog.table_exists catalog p && not (Stored_dkb.has_rules_for stored p)
+    match Hashtbl.find_opt base_memo p with
+    | Some b -> b
+    | None ->
+        let b = Rdbms.Catalog.table_exists catalog p && not (Stored_dkb.has_rules_for stored p) in
+        Hashtbl.add base_memo p b;
+        b
   in
   let base_preds =
     List.sort_uniq String.compare
@@ -272,19 +280,54 @@ let get_plan t =
 (* Table read for a predicate in its current state. *)
 let cur_table plan p = if plan.is_base p then p else Names.mat p
 
+let positive_vars = function
+  | Ast.Pos a -> Some (Ast.vars_of_atom a)
+  | Ast.Neg _ | Ast.Cmp _ -> None
+
+(* Delta-first sideways-information-passing order of a rule body, as body
+   positions: the [lead] occurrences (the delta or over-deletion tables)
+   first, then repeatedly the first remaining positive literal sharing a
+   variable with those placed, so every join proceeds outward from bound
+   arguments, as a QSQ subquery does; negations and comparisons follow in
+   body order. The KM's left-to-right SIP plans FROM in exactly this
+   order, so the delta drives and each later table is probed. *)
+let sip_order body ~lead =
+  let all = List.init (Array.length body) Fun.id in
+  let positives, others = List.partition (fun i -> positive_vars body.(i) <> None) all in
+  let vars i = Option.get (positive_vars body.(i)) in
+  let leads, rest = List.partition lead positives in
+  let rec place placed bound = function
+    | [] -> List.rev placed
+    | rest ->
+        let next =
+          match List.find_opt (fun i -> List.exists (fun v -> List.mem v bound) (vars i)) rest with
+          | Some i -> i
+          | None -> List.hd rest
+        in
+        place (next :: placed) (vars next @ bound) (List.filter (( <> ) next) rest)
+  in
+  place (List.rev leads) (List.concat_map vars leads) rest @ others
+
 (* Compile one rule body to a SELECT, reading [cur_table] for every
    positive occurrence unless [override] substitutes another table for
-   that body position (delta or over-delete tables). *)
-let rule_select plan ?(distinct = true) ?(override = fun _ -> None) clause =
+   that body position (delta or over-delete tables). With [lead], the
+   body is joined in {!sip_order} from those positions. *)
+let rule_select plan ?(distinct = true) ?lead ?(override = fun _ -> None) clause =
   let body = Array.of_list clause.Ast.body in
-  let table_of i =
-    match override i with
+  let order =
+    match lead with
+    | None -> Array.init (Array.length body) Fun.id
+    | Some lead -> Array.of_list (sip_order body ~lead)
+  in
+  let table_of k =
+    match override order.(k) with
     | Some tbl -> tbl
     | None -> (
-        match body.(i) with
+        match body.(order.(k)) with
         | Ast.Pos a | Ast.Neg a -> cur_table plan a.Ast.pred
         | Ast.Cmp _ -> "")
   in
+  let clause = { clause with Ast.body = Array.to_list (Array.map (Array.get body) order) } in
   Rdbms.Sql_printer.query
     (Datalog.Sqlgen.select_for_rule ~columns:plan.columns ~table_of ~distinct clause)
 
@@ -328,7 +371,8 @@ let subset_variants plan ?(distinct = true) ~changed ~delta_of clause =
             in
             in_subset 0
           in
-          (rule_select plan ~distinct ~override clause, popcount mask))
+          let lead j = override j <> None in
+          (rule_select plan ~distinct ~lead ~override clause, popcount mask))
         (List.init ((1 lsl k) - 1) (fun m -> m + 1))
 
 (* Semi-naive delta variants of the recursive rules of a clique: one per
@@ -356,9 +400,15 @@ let clique_delta_rules plan ~members ~target ~delta_table ~member_table rec_rule
                 Some (if j = i then delta_table a.Ast.pred else member_table a.Ast.pred)
             | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> None
           in
-          (target head, rule_select plan ~override rule))
+          (target head, rule_select plan ~lead:(( = ) i) ~override rule))
         idxs)
     rec_rules
+
+(* DRed's rederivation form of a rule: guarded by the over-deleted set of
+   its head, read at body position 0. *)
+let guarded_rule head rule =
+  let guard = Ast.Pos { Ast.pred = Names.overdel head; args = rule.Ast.head.Ast.args } in
+  { rule with Ast.body = guard :: rule.Ast.body }
 
 (* ------------------------------------------------------------------ *)
 (* Table lifecycle *)
@@ -381,11 +431,71 @@ let derived_cols plan p =
   | Some tys -> List.mapi (fun i ty -> (Printf.sprintf "c%d" (i + 1), ty)) tys
   | None -> maint_err "maintenance: no inferred types for %s" p
 
+(* The lead sets a maintained rule runs under: counting variants and DRed
+   seeds read deltas at a subset of the positive occurrences, propagation
+   at one member occurrence. Every nonempty subset covers both (only the
+   singletons past [max_changed_occurrences], where maintenance falls
+   back). *)
+let lead_sets body =
+  let positives =
+    List.filter (fun i -> positive_vars body.(i) <> None) (List.init (Array.length body) Fun.id)
+  in
+  let k = List.length positives in
+  if k > max_changed_occurrences then List.map (fun i -> [ i ]) positives
+  else
+    List.init ((1 lsl k) - 1) (fun m ->
+        List.filteri (fun b _ -> (m + 1) land (1 lsl b) <> 0) positives)
+
+(* Hash-index the columns the delta joins of a rule probe. Each lead set's
+   SIP order is walked as the planner joins it: a later literal read from
+   its base or [mat__] table is probed on its bound columns, and unless
+   one of them is indexed already the first gets an index, which turns
+   that join from a hash join over a scan into an index (or member) join.
+   A literal with a constant or a repeated variable carries a local
+   filter, which the planner never probes through an index. *)
+let index_join_columns t plan ?leads clause =
+  let catalog = Engine.catalog t.engine in
+  let body = Array.of_list clause.Ast.body in
+  let probe leads bound i =
+    match body.(i) with
+    | Ast.Pos a ->
+        let vars = Ast.vars_of_atom a in
+        let filtered = List.length vars < List.length a.Ast.args in
+        if
+          bound <> []
+          && (not (List.mem i leads))
+          && (not filtered)
+          && (plan.is_base a.Ast.pred || List.mem_assoc a.Ast.pred plan.derived)
+        then begin
+          let table = cur_table plan a.Ast.pred in
+          let bound_cols =
+            List.concat
+              (List.map2
+                 (fun c arg -> match arg with Ast.Var v when List.mem v bound -> [ c ] | _ -> [])
+                 (plan.columns a.Ast.pred) a.Ast.args)
+          in
+          let indexed c = Rdbms.Catalog.find_index catalog ~table ~column:c <> None in
+          match bound_cols with
+          | c :: _ when not (List.exists indexed bound_cols) ->
+              exec t (Printf.sprintf "CREATE INDEX idx__%s__%s ON %s (%s)" table c table c)
+          | _ -> ()
+        end;
+        vars @ bound
+    | Ast.Neg _ | Ast.Cmp _ -> bound
+  in
+  List.iter
+    (fun leads ->
+      ignore (List.fold_left (probe leads) [] (sip_order body ~lead:(fun i -> List.mem i leads))))
+    (match leads with Some l -> l | None -> lead_sets body)
+
 (* Drop and recreate every maintenance table of the plan: the [mat__p]
    materializations (hash-indexed on c1 so per-tuple deletes hit the
    DELETE index fast path), [matcnt__p] for counting nodes, the
    per-update [insd__]/[deld__] delta tables for every derived and base
-   dependency, and the DRed / semi-naive scratch tables for cliques. *)
+   dependency, and the DRed / semi-naive scratch tables for cliques; then
+   index the base and [mat__] columns the delta joins probe. Base-table
+   indexes outlive the call, so a column already indexed (by an earlier
+   [ensure], or restored from a checkpoint) is skipped. *)
 let ensure_tables t plan =
   Engine.suspend_logging t.engine @@ fun () ->
   let scratch_of tbl cols =
@@ -414,7 +524,18 @@ let ensure_tables t plan =
     (fun (b, cols) ->
       recreate t (Names.ins_delta b) cols;
       recreate t (Names.del_delta b) cols)
-    plan.bases
+    plan.bases;
+  List.iter
+    (function
+      | P_pred { rules; strat = S_counting; _ } -> List.iter (index_join_columns t plan) rules
+      | P_clique { exit_rules; rec_rules; strat = S_dred; _ } ->
+          List.iter
+            (fun (head, r) ->
+              index_join_columns t plan r;
+              index_join_columns t plan ~leads:[ [ 0 ] ] (guarded_rule head r))
+            (exit_rules @ rec_rules)
+      | P_pred _ | P_clique _ -> ())
+    plan.nodes
 
 (* ------------------------------------------------------------------ *)
 (* Full (re)evaluation of the materializations *)
@@ -595,10 +716,9 @@ let dred_del t plan ~del_changed ~chg ~rederived ~label ~members ~exit_rules ~re
     let guarded =
       List.map
         (fun (head, rule) ->
-          let guard = Ast.Pos { Ast.pred = Names.overdel head; args = rule.Ast.head.Ast.args } in
-          let g = { rule with Ast.body = guard :: rule.Ast.body } in
           let override j = if j = 0 then Some (Names.overdel head) else None in
-          Printf.sprintf "INSERT INTO %s %s" (Names.mat head) (rule_select plan ~override g))
+          Printf.sprintf "INSERT INTO %s %s" (Names.mat head)
+            (rule_select plan ~lead:(( = ) 0) ~override (guarded_rule head rule)))
         (exit_rules @ rec_rules)
     in
     let continue_ = ref true in
@@ -769,12 +889,19 @@ let apply t ~mode ~inserts ~deletes () =
   let catalog = Engine.catalog engine in
   let stats = Engine.stats engine in
   try
+    (* each distinct target is checked (one rulesource probe) once *)
+    let targets = Hashtbl.create 4 in
     let check_target p =
-      if Stored_dkb.has_rules_for t.stored p then
-        maint_err "%s is a derived predicate; update its base relations instead" p;
-      match Rdbms.Catalog.find_table catalog p with
-      | None -> maint_err "unknown relation %s" p
+      match Hashtbl.find_opt targets p with
       | Some tbl -> tbl
+      | None -> (
+          if Stored_dkb.has_rules_for t.stored p then
+            maint_err "%s is a derived predicate; update its base relations instead" p;
+          match Rdbms.Catalog.find_table catalog p with
+          | None -> maint_err "unknown relation %s" p
+          | Some tbl ->
+              Hashtbl.add targets p tbl;
+              tbl)
     in
     let table_cols p =
       Rdbms.Schema.names (Rdbms.Relation.schema (check_target p).Rdbms.Catalog.tbl_relation)

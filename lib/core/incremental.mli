@@ -23,7 +23,12 @@
     Both phases walk the affected nodes in dependency order with the
     deltas applied to the base relations first, so the deletion-phase
     variants partition the removed derivations exactly and the
-    insertion-phase variants are subsets of the new state. Maintenance
+    insertion-phase variants are subsets of the new state. Every delta
+    rule lists its delta (or over-deletion) occurrences first in FROM and
+    then each literal sharing a variable with those before it, so the
+    left-to-right join starts at the delta; the tables also hash-index
+    the base and [mat__] columns those joins probe, making each join an
+    index or member join. Maintenance
     work runs with WAL logging suspended (undo stays active, so ROLLBACK
     restores views and counts); recovery re-evaluates instead. *)
 
@@ -60,8 +65,9 @@ val is_maintained : t -> bool
 val materialize : t -> mode:mode -> string -> ((string * strategy) list, string) result
 (** Materializes a derived predicate and everything it depends on:
     assigns and persists a strategy per predicate, creates the
-    maintenance tables and evaluates the views. Returns the
-    assignments. *)
+    maintenance tables, hash-indexes the base and view columns the delta
+    joins probe (skipping columns already indexed), and evaluates the
+    views. Returns the assignments. *)
 
 val refresh : t -> (unit, string) result
 (** Truncate and fully re-evaluate every registered view (the fallback

@@ -140,7 +140,7 @@ let rec source_col plan pos : (Catalog.table * string) option =
   | Plan.Nl_join { left; right; _ } | Plan.Hash_join { left; right; _ } ->
       let lw = Array.length (Plan.header_of left) in
       if pos < lw then source_col left pos else source_col right (pos - lw)
-  | Plan.Index_join { left; table; header; _ } ->
+  | Plan.Index_join { left; table; header; _ } | Plan.Member_join { left; table; header; _ } ->
       let lw = Array.length (Plan.header_of left) in
       if pos < lw then source_col left pos
       else if pos < Array.length header then Some (table, header.(pos).Plan.h_name)
@@ -222,6 +222,24 @@ let rec estimate (plan : Plan.t) : est =
       in
       let probe_cost = 1.0 +. pages_f (per_probe *. avg_row_bytes table) in
       let rows = l.rows *. per_probe *. opt_sel (info_of plan) residual in
+      { rows; cost = l.cost +. (l.rows *. probe_cost) +. (cpu_per_row *. rows) }
+  | Plan.Member_join { left; table; residual; _ } ->
+      (* one tuple-table probe per outer row, charged like an index probe
+         that matches at most one row; the hit rate is the table's share
+         of its columns' value space, a column with no distinct-value
+         count taking the equality default's 1/10 *)
+      let l = estimate left in
+      let space =
+        List.fold_left
+          (fun acc c ->
+            acc
+            *. match col_ndv table c.Schema.col_name with Some n -> n | None -> 1.0 /. eq_default)
+          1.0
+          (Schema.columns (Relation.schema table.Catalog.tbl_relation))
+      in
+      let hit = Float.min 1.0 (table_rows table /. max 1.0 space) in
+      let probe_cost = 1.0 +. pages_f (avg_row_bytes table) in
+      let rows = l.rows *. hit *. opt_sel (info_of plan) residual in
       { rows; cost = l.cost +. (l.rows *. probe_cost) +. (cpu_per_row *. rows) }
   | Plan.Anti_join { left; table; _ } ->
       let l = estimate left in

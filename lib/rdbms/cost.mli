@@ -2,7 +2,8 @@
     and the per-operator charges of {!Exec_compiled}): a sequential scan costs
     the relation's page count — the *real* heap page count for a
     disk-backed table, so estimates track measured buffer-pool I/O — an
-    index probe costs one page plus the pages of the matched rows, and
+    index probe costs one page plus the pages of the matched rows (a
+    member join's tuple-table probe, at most one row), and
     hash/nested-loop joins cost only their inputs. A tiny per-row CPU
     epsilon ({!cpu_per_row}) breaks page-count ties toward smaller
     intermediate results.

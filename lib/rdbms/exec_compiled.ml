@@ -257,6 +257,25 @@ let compile stats plan =
             lb;
           produced (Batch.length out);
           out
+    | Plan.Member_join { left; table; outer_pos; residual; _ } ->
+        let lf = child left in
+        let rel = table.Catalog.tbl_relation in
+        let keep = compile_filter residual in
+        fun node ->
+          let lb = lf node in
+          let out = Batch.create () in
+          Batch.iter
+            (fun l ->
+              let r = Array.map (fun p -> l.(p)) outer_pos in
+              let hit = Relation.mem rel r in
+              charge_probe_bytes stats node (if hit then Tuple.byte_size r else 0);
+              if hit then begin
+                let row = concat_rows l r in
+                if keep row then Batch.push out row
+              end)
+            lb;
+          produced (Batch.length out);
+          out
     | Plan.Anti_join { left; table; key_outer; key_inner; residual; _ } ->
         let lf = child left in
         let rel = table.Catalog.tbl_relation in

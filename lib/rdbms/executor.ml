@@ -161,6 +161,24 @@ let rec go obs plan =
       let rows = List.rev !out in
       produced obs (List.length rows);
       rows
+  | Plan.Member_join { left; table; outer_pos; residual; _ } ->
+      let lrows = sub obs left in
+      let rel = table.Catalog.tbl_relation in
+      let out = ref [] in
+      List.iter
+        (fun l ->
+          let r = Array.map (fun p -> l.(p)) outer_pos in
+          let matched = if Relation.mem rel r then [ r ] else [] in
+          charge_probe obs matched;
+          List.iter
+            (fun r ->
+              let row = concat_rows l r in
+              if keep residual row then out := row :: !out)
+            matched)
+        lrows;
+      let rows = List.rev !out in
+      produced obs (List.length rows);
+      rows
   | Plan.Anti_join { left; table; key_outer; key_inner; residual; _ } ->
       let lrows = sub obs left in
       let rel = table.Catalog.tbl_relation in

@@ -59,6 +59,13 @@ type t =
       header : header;
       residual : rcond option;
     }
+  | Member_join of {
+      left : t;
+      table : Catalog.table;
+      outer_pos : int array;
+      header : header;
+      residual : rcond option;
+    }
   | Anti_join of {
       left : t;
       table : Catalog.table;
@@ -88,6 +95,7 @@ let rec header_of = function
   | Nl_join { header; _ }
   | Hash_join { header; _ }
   | Index_join { header; _ }
+  | Member_join { header; _ }
   | Anti_join { header; _ }
   | Project { header; _ }
   | Count_star { header; _ }
@@ -180,6 +188,10 @@ let op_label p =
   | Index_join { table; index; outer_pos; header; residual; _ } ->
       Printf.sprintf "IndexJoin %s via %s probe=col%d%s" table.Catalog.tbl_name
         (Index.name index) outer_pos (filter_str header residual)
+  | Member_join { table; outer_pos; header; residual; _ } ->
+      Printf.sprintf "MemberJoin %s probe=[%s]%s" table.Catalog.tbl_name
+        (String.concat "," (Array.to_list (Array.map (Printf.sprintf "col%d") outer_pos)))
+        (filter_str header residual)
   | Anti_join { table; key_outer; key_inner; residual; header; _ } ->
       Printf.sprintf "AntiJoin %s keys=[%s]=[%s]%s" table.Catalog.tbl_name
         (String.concat "," (List.map string_of_int key_outer))
@@ -213,13 +225,13 @@ let op_label p =
         (String.concat ", "
            (List.map (fun (i, d) -> string_of_int i ^ if d then " DESC" else "") keys))
 
-(* The sub-plans an operator's execution recurses into; Index_join and
-   Anti_join access their inner table through the operator itself, so only
-   the outer input is a child. *)
+(* The sub-plans an operator's execution recurses into; Index_join,
+   Member_join and Anti_join access their inner table through the operator
+   itself, so only the outer input is a child. *)
 let children = function
   | Seq_scan _ | Index_scan _ | Range_scan _ -> []
   | Nl_join { left; right; _ } | Hash_join { left; right; _ } -> [ left; right ]
-  | Index_join { left; _ } | Anti_join { left; _ } -> [ left ]
+  | Index_join { left; _ } | Member_join { left; _ } | Anti_join { left; _ } -> [ left ]
   | Project { input; _ } | Count_star { input; _ } | Aggregate { input; _ }
   | Sort { input; _ } ->
       [ input ]

@@ -70,6 +70,18 @@ type t =
       header : header;
       residual : rcond option;  (** over the concatenated header *)
     }
+  | Member_join of {
+      left : t;
+      table : Catalog.table;
+      outer_pos : int array;
+          (** per inner column, in table order, the left-header position
+              bound to it: the probe key is a whole candidate row *)
+      header : header;
+      residual : rcond option;  (** over the concatenated header *)
+    }
+      (** a join whose equality edges bind every column of the inner
+          table: each outer row probes the relation's own tuple table for
+          the one row it names, with no index bucket to filter *)
   | Anti_join of {
       left : t;
       table : Catalog.table;  (** inner table of a NOT EXISTS subquery *)
@@ -111,8 +123,8 @@ val op_label : t -> string
 
 val children : t -> t list
 (** The sub-plans an operator's execution recurses into, in plan order.
-    [Index_join] and [Anti_join] reach their inner table through the
-    operator itself, so only the outer input is a child. *)
+    [Index_join], [Member_join] and [Anti_join] reach their inner table
+    through the operator itself, so only the outer input is a child. *)
 
 val describe : t -> string
 (** Multi-line operator-tree rendering (EXPLAIN output). *)

@@ -315,7 +315,8 @@ let initial_state ~costed catalog scope per_table_conds join_conds residual_cond
 (* Join table [j] onto [st]. In costed mode the access path (index probe
    vs building the inner side) and the hash-join build side are chosen by
    comparing {!Cost} estimates; otherwise an index join is taken whenever
-   table [j] is indexed on a join column and has no local filter. *)
+   table [j] is indexed on a join column and has no local filter. An index
+   join whose edges bind every column of [j] becomes a member join. *)
 let join_step ~costed catalog scope per_table_conds st j =
   let prev_layout = st.bs_layout in
   let base = width_of scope prev_layout in
@@ -387,12 +388,11 @@ let join_step ~costed catalog scope per_table_conds st j =
         in
         match index_edge with
         | Some ((oi, ocol), inner_col, idx) ->
-            let obase = List.assoc oi prev_layout in
-            let opos = Schema.position_exn scope.(oi).si_schema ocol in
-            (* all other edges become residual conditions *)
-            let other_edges =
-              List.filter (fun (o, ic) -> not (o = (oi, ocol) && ic = inner_col)) oriented
+            let outer_position (o, c) =
+              List.assoc o prev_layout + Schema.position_exn scope.(o).si_schema c
             in
+            (* all other edges become residual conditions *)
+            let other_edges = List.filter (fun e -> e <> ((oi, ocol), inner_col)) oriented in
             let extra =
               List.map
                 (fun ((o, ocol'), icol) ->
@@ -403,15 +403,43 @@ let join_step ~costed catalog scope per_table_conds st j =
                          Col { qualifier = Some scope.(j).si_alias; column = icol } )))
                 other_edges
             in
-            Plan.Index_join
-              {
-                left = st.bs_plan;
-                table = scope.(j).si_table;
-                index = idx;
-                outer_pos = obase + opos;
-                header;
-                residual = conjoin (extra @ residual);
-              }
+            (* MemberJoin: when the edges bind every inner column, the
+               outer row names the one inner row it can match, and the
+               relation's tuple table answers the probe; an edge onto an
+               already-bound column stays a residual *)
+            let inner_schema = scope.(j).si_schema in
+            let bound = Array.make (Schema.arity inner_schema) None in
+            let leftover =
+              List.filter_map
+                (fun ((outer, icol), cond) ->
+                  let ipos = Schema.position_exn inner_schema icol in
+                  match bound.(ipos) with
+                  | None ->
+                      bound.(ipos) <- Some (outer_position outer);
+                      None
+                  | Some _ -> cond)
+                ((((oi, ocol), inner_col), None)
+                :: List.map2 (fun e c -> (e, Some c)) other_edges extra)
+            in
+            if Array.for_all Option.is_some bound then
+              Plan.Member_join
+                {
+                  left = st.bs_plan;
+                  table = scope.(j).si_table;
+                  outer_pos = Array.map Option.get bound;
+                  header;
+                  residual = conjoin (leftover @ residual);
+                }
+            else
+              Plan.Index_join
+                {
+                  left = st.bs_plan;
+                  table = scope.(j).si_table;
+                  index = idx;
+                  outer_pos = outer_position (oi, ocol);
+                  header;
+                  residual = conjoin (extra @ residual);
+                }
         | None ->
             let left_keys, right_keys =
               List.split

@@ -7,8 +7,10 @@
     - FROM items are joined left to right; when an equi-join predicate
       links the next table to the tables already joined, the planner picks
       an index join if the next table has an index on the join column and
-      a hash join otherwise; with no predicate it falls back to a nested
-      loop (cross) join;
+      a hash join otherwise; an index join whose equi-join predicates bind
+      every column of the next table becomes a member join (one probe of
+      the relation's tuple table per outer row); with no predicate it
+      falls back to a nested loop (cross) join;
     - remaining predicates become residual filters on the topmost join. *)
 
 exception Plan_error of string

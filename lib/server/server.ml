@@ -24,7 +24,7 @@ module Session = Core.Session
 type conn = {
   c_fd : Unix.file_descr;
   c_session : Session.t;
-  c_inbuf : Buffer.t; (* bytes read but not yet forming a full line *)
+  c_inbuf : Buffer.t; (* the incomplete line read so far *)
   mutable c_pending : string list; (* complete request lines, oldest first *)
   c_prepared : (string, string) Hashtbl.t; (* PREPARE templates *)
   mutable c_snapshot : int option; (* open snapshot timestamp *)
@@ -84,31 +84,50 @@ let send conn lines =
 
 let respond conn status body = send conn ((status :: body) @ [ Protocol.terminator ])
 
+(* The longest request line accepted. A client that sends more without a
+   newline is answered "ERR request line too long" and disconnected, so
+   it can neither grow the server's memory nor keep it busy. *)
+let max_line_bytes = 1 lsl 20
+
+(* Read what arrived and queue the lines it completes. Only the new bytes
+   are scanned for newlines; the incomplete tail waits in [c_inbuf]. *)
 let read_conn conn =
   let buf = Bytes.create 4096 in
   match Unix.read conn.c_fd buf 0 4096 with
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> conn.c_open <- false
   | 0 -> conn.c_open <- false
-  | n ->
-      Buffer.add_subbytes conn.c_inbuf buf 0 n;
-      let data = Buffer.contents conn.c_inbuf in
-      let rec split start acc =
-        match String.index_from_opt data start '\n' with
-        | None -> (acc, String.sub data start (String.length data - start))
-        | Some i ->
-            let line = String.sub data start (i - start) in
-            let line =
-              (* tolerate CRLF clients *)
-              if line <> "" && line.[String.length line - 1] = '\r' then
-                String.sub line 0 (String.length line - 1)
-              else line
-            in
-            split (i + 1) (line :: acc)
+  | n -> (
+      (* add buf[start, stop) to the pending line, unless that passes the cap *)
+      let append start stop =
+        Buffer.length conn.c_inbuf + (stop - start) <= max_line_bytes
+        && (Buffer.add_subbytes conn.c_inbuf buf start (stop - start);
+            true)
       in
-      let lines, rest = split 0 [] in
-      Buffer.clear conn.c_inbuf;
-      Buffer.add_string conn.c_inbuf rest;
-      conn.c_pending <- conn.c_pending @ List.rev lines
+      let rec newline i =
+        if i >= n then None else if Bytes.get buf i = '\n' then Some i else newline (i + 1)
+      in
+      let rec scan start lines =
+        match newline start with
+        | None -> if append start n then Some lines else None
+        | Some i ->
+            if not (append start i) then None
+            else begin
+              let line = Buffer.contents conn.c_inbuf in
+              Buffer.clear conn.c_inbuf;
+              (* tolerate CRLF clients *)
+              let len = String.length line in
+              let line =
+                if len > 0 && line.[len - 1] = '\r' then String.sub line 0 (len - 1) else line
+              in
+              scan (i + 1) (line :: lines)
+            end
+      in
+      match scan 0 [] with
+      | Some lines -> conn.c_pending <- conn.c_pending @ List.rev lines
+      | None ->
+          Buffer.reset conn.c_inbuf;
+          respond conn (Protocol.status_err "request line too long") [];
+          conn.c_open <- false)
 
 (* ------------------------------------------------------------------ *)
 (* Request execution *)

@@ -153,6 +153,19 @@ let seeded_engine ?(index = true) seed =
             (letter ())));
   e
 
+(* Fully bound joins, a MemberJoin wherever big is indexed: probes that
+   hit and miss, outer rows repeating the probed pair, a residual, and an
+   edge onto an already-bound column. *)
+let member_joins =
+  [
+    "SELECT s.w FROM small s, big b WHERE s.k = b.k AND s.w = b.v";
+    "SELECT b.k FROM big a, small s, big b WHERE a.k = s.k AND s.k = b.k AND s.w = b.v";
+    "SELECT b.v FROM big a, small s, big b WHERE a.k = s.k AND s.k = b.k AND s.w = b.v \
+     AND a.v <> b.v";
+    "SELECT b.v FROM small s, big a, big b WHERE s.k = a.k AND a.k = b.k AND a.v = b.v \
+     AND s.k = b.k";
+  ]
+
 (* Every operator the planner can emit (see test_planner.ml), plus the
    set operations, aggregation and sorting. *)
 let battery =
@@ -182,6 +195,8 @@ let battery =
     "SELECT * FROM big EXCEPT SELECT * FROM small";
     "SELECT * FROM big EXCEPT SELECT * FROM small WHERE k > 5";
   ]
+  @ member_joins
+
 
 let run_battery e =
   (* each statement twice: the engine's first run plans (cache miss,
@@ -199,6 +214,57 @@ let test_battery_join_orders () =
       E.set_join_order e mode;
       run_battery e)
     [ Rdbms.Planner.Greedy; Rdbms.Planner.Costed; Rdbms.Planner.Syntactic ]
+
+(* The battery's fully bound joins really plan MemberJoins, and probing
+   the tuple table charges no more pages than the IndexJoin it replaces:
+   the same join built by hand as an index probe plus a residual. *)
+let test_member_join_charges () =
+  let e = seeded_engine 17 in
+  (* small rows that big holds, so the probes hit as well as miss *)
+  steps e [ "INSERT INTO small SELECT k, v FROM big WHERE k < 6" ];
+  List.iter
+    (fun sql ->
+      match plan_of e sql with
+      | Some plan ->
+          Alcotest.(check bool) (sql ^ ": plans a MemberJoin") true
+            (Astring.String.is_infix ~affix:"MemberJoin" (Rdbms.Plan.describe plan))
+      | None -> Alcotest.fail sql)
+    member_joins;
+  let sql = List.hd member_joins in
+  match plan_of e sql with
+  | Some (Rdbms.Plan.Project { input = Rdbms.Plan.Member_join m as member; _ }) ->
+      let index = Option.get (Rdbms.Catalog.find_index (E.catalog e) ~table:"big" ~column:"k") in
+      let width = Array.length (Rdbms.Plan.header_of m.left) in
+      let by_index =
+        Rdbms.Plan.Index_join
+          {
+            left = m.left;
+            table = m.table;
+            index;
+            outer_pos = m.outer_pos.(0);
+            header = m.header;
+            residual =
+              Some (Rdbms.Plan.R_cmp (R_col m.outer_pos.(1), Sql_ast.Eq, R_col (width + 1)));
+          }
+      in
+      let run plan =
+        let st = Stats.create () in
+        let rows = row_strings (Exec_compiled.run (Exec_compiled.compile st plan)) in
+        (rows, st)
+      in
+      let rows_m, st_m = run member and rows_i, st_i = run by_index in
+      Alcotest.(check (list (list string))) "same rows as the index join" rows_i rows_m;
+      Alcotest.(check bool) "some probes hit" true (rows_m <> []);
+      Alcotest.(check bool) "some probes miss" true
+        (List.length rows_m < st_m.Stats.index_probes);
+      Alcotest.(check int) "one probe per outer row, as the index join"
+        st_i.Stats.index_probes st_m.Stats.index_probes;
+      Alcotest.(check bool)
+        (Printf.sprintf "page_reads %d <= index join's %d" st_m.Stats.page_reads
+           st_i.Stats.page_reads)
+        true
+        (st_m.Stats.page_reads <= st_i.Stats.page_reads)
+  | _ -> Alcotest.fail (sql ^ ": expected Project over a MemberJoin")
 
 let test_mutations_in_lockstep () =
   let e = seeded_engine 14 in
@@ -352,6 +418,7 @@ let () =
           Alcotest.test_case "operator battery, no index" `Quick test_battery_no_index;
           Alcotest.test_case "battery under greedy/costed/syntactic" `Quick
             test_battery_join_orders;
+          Alcotest.test_case "member join plans and charges" `Quick test_member_join_charges;
           Alcotest.test_case "mutations in lockstep" `Quick test_mutations_in_lockstep;
           Alcotest.test_case "fill-delta EXCEPT shape" `Quick test_fill_delta_shape;
         ] );

@@ -353,6 +353,195 @@ let test_session_check_surfaces_e301 () =
        (fun d -> d.Datalog.Lint.code = "E301" && d.Datalog.Lint.pred = "mat__hop")
        ds)
 
+(* ------------------------------------------------------------------ *)
+(* Maintenance plans: over an [edge] declared without any index, every
+   delta join starts at the delta and probes its way out, for right- and
+   left-linear tc maintained by DRed next to a counting hop2. *)
+
+let right_tc = [ "tc(X, Y) :- edge(X, Y)."; "tc(X, Y) :- edge(X, Z), tc(Z, Y)." ]
+let left_tc = [ "tc(X, Y) :- edge(X, Y)."; "tc(X, Y) :- tc(X, Z), edge(Z, Y)." ]
+let hop2_rule = "hop2(X, Y) :- edge(X, Z), edge(Z, Y)."
+
+(* two diamonds in a row: moving 2->4 to 2->5 over-deletes tc pairs of 1
+   that 1->3->4 rederives, and the insert propagates downstream *)
+let diamonds = [ (1, 2); (1, 3); (2, 4); (3, 4); (4, 5); (5, 6) ]
+
+let materialize_views s =
+  load_edges s diamonds;
+  Session.set_maintenance s Incremental.Auto;
+  List.iter (fun v -> ignore (ok (Session.materialize s v))) [ "tc"; "hop2" ]
+
+let unindexed tc_rules =
+  let s = setup ~indexes:[] (hop2_rule :: tc_rules) in
+  materialize_views s;
+  s
+
+let move s (a, b, c) =
+  let r =
+    ok
+      (Session.apply_facts s
+         ~deletes:[ ("edge", row_of (a, b)) ]
+         ~inserts:[ ("edge", row_of (a, c)) ]
+         ())
+  in
+  Alcotest.(check bool) "maintained incrementally" true r.Incremental.maintained
+
+let views_fresh label s =
+  List.iter
+    (fun (pred, goal) ->
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "%s: %s = from-scratch LFP" label pred)
+        (List.map (List.map V.to_string) (query_rows s goal))
+        (List.map (List.map V.to_string) (view s pred)))
+    [ ("tc", "tc(X, Y)"); ("hop2", "hop2(X, Y)") ]
+
+let test_join_columns_indexed () =
+  List.iter
+    (fun (label, rules, expect) ->
+      let s = unindexed rules in
+      let catalog = Engine.catalog (Session.engine s) in
+      List.iter
+        (fun (table, column, want) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s.%s indexed" label table column)
+            want
+            (Rdbms.Catalog.find_index catalog ~table ~column <> None))
+        expect)
+    [
+      (* mat__tc.c2 is never probed first: the member join onto mat__tc
+         binds both columns and enters through c1 *)
+      ( "right-linear",
+        right_tc,
+        [
+          ("edge", "src", true); ("edge", "dst", true); ("mat__tc", "c1", true);
+          ("mat__tc", "c2", false);
+        ] );
+      ( "left-linear",
+        left_tc,
+        [
+          ("edge", "src", true); ("edge", "dst", true); ("mat__tc", "c1", true);
+          ("mat__tc", "c2", true);
+        ] );
+    ]
+
+(* Plan-tree lines as (indent, operator label). *)
+let plan_lines tree =
+  String.split_on_char '\n' tree
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map (fun l ->
+         let n = String.length l - String.length (String.trim l) in
+         (n, String.trim l))
+
+(* Labels of the direct inputs of every hash or nested-loop join. *)
+let scanned_join_inputs tree =
+  let rec go acc = function
+    | [] -> acc
+    | (d, op) :: rest ->
+        let is_join =
+          Astring.String.is_prefix ~affix:"HashJoin" op
+          || Astring.String.is_prefix ~affix:"NestedLoopJoin" op
+        in
+        let acc =
+          if not is_join then acc
+          else
+            let rec kids acc = function
+              | (d', op') :: rest when d' > d -> kids (if d' = d + 2 then op' :: acc else acc) rest
+              | _ -> acc
+            in
+            kids acc rest
+        in
+        go acc rest
+  in
+  go [] (plan_lines tree)
+
+let test_delta_joins_probe () =
+  List.iter
+    (fun (label, rules) ->
+      let s = unindexed rules in
+      let e = Session.engine s in
+      let trees = ref [] in
+      (* uncached: every statement of the move plans and traces its tree *)
+      Engine.set_statement_cache e false;
+      Engine.set_trace_hook e
+        (Some (function Engine.Tr_plan { sql; tree } -> trees := (sql, tree) :: !trees | _ -> ()));
+      move s (2, 4, 5);
+      Engine.set_trace_hook e None;
+      Engine.set_statement_cache e true;
+      let probes = ref 0 and members = ref 0 in
+      List.iter
+        (fun (sql, tree) ->
+          let where = Printf.sprintf "%s: %s\n%s" label sql tree in
+          Alcotest.(check bool) ("no edge scan: " ^ where) false
+            (Astring.String.is_infix ~affix:"SeqScan edge" tree);
+          List.iter
+            (fun op ->
+              List.iter
+                (fun table ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "hash or loop join onto %s: %s" table where)
+                    false
+                    (Astring.String.is_infix ~affix:("Scan " ^ table ^ " ") (op ^ " ")))
+                [ "edge"; "mat__tc" ])
+            (scanned_join_inputs tree);
+          List.iter
+            (fun (_, op) ->
+              List.iter
+                (fun table ->
+                  let onto kind = Astring.String.is_prefix ~affix:(kind ^ " " ^ table ^ " ") op in
+                  if onto "IndexJoin" then incr probes;
+                  if onto "MemberJoin" then begin
+                    incr probes;
+                    incr members
+                  end)
+                [ "edge"; "mat__tc" ])
+            (plan_lines tree))
+        !trees;
+      Alcotest.(check bool) (label ^ ": delta joins probe edge and mat__tc") true (!probes > 0);
+      Alcotest.(check bool) (label ^ ": rederivation uses member joins") true (!members > 0);
+      views_fresh label s)
+    [ ("right-linear", right_tc); ("left-linear", left_tc) ]
+
+(* Base-ness is decided once per plan and each target once per apply:
+   one rulesource probe for a single-edge move. *)
+let test_one_rulesource_probe () =
+  let s = unindexed right_tc in
+  let e = Session.engine s in
+  let probes = ref 0 in
+  Engine.set_trace_hook e
+    (Some
+       (function
+       | Engine.Tr_stmt_begin { sql }
+         when Astring.String.is_infix ~affix:"FROM rulesource WHERE" sql ->
+           incr probes
+       | _ -> ()));
+  move s (2, 4, 5);
+  Engine.set_trace_hook e None;
+  Alcotest.(check int) "rulesource probes" 1 !probes
+
+(* The maintenance indexes on a base table survive a checkpoint: the
+   recovery's ensure must skip them, not create them twice. *)
+let test_recover_after_checkpoint () =
+  let wal = Filename.temp_file "dkb_incr" ".wal" in
+  let db = Filename.temp_file "dkb_incr" ".db" in
+  Sys.remove db;
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ wal; db ])
+    (fun () ->
+      let s = Session.create () in
+      ok (Session.attach_wal s wal);
+      ok (Session.define_base s "edge" [ ("src", D.TInt); ("dst", D.TInt) ] ~indexes:[] ());
+      List.iter (fun r -> ok (Session.add_rule s r)) (hop2_rule :: right_tc);
+      ignore (ok (Session.update_stored s ~clear:true ()));
+      materialize_views s;
+      ok (Session.checkpoint s ~db);
+      move s (2, 4, 5);
+      let s2, _ = ok (Session.recover ~db ~wal ()) in
+      views_fresh "recovered" s2;
+      (* materializing again recreates the tables over the same catalog *)
+      ignore (ok (Session.materialize s2 "tc"));
+      move s2 (2, 5, 4);
+      views_fresh "maintained after recovery" s2)
+
 let () =
   Alcotest.run "incremental"
     [
@@ -391,4 +580,11 @@ let () =
         ] );
       ( "delete fast path",
         [ Alcotest.test_case "indexed equality probes" `Quick test_delete_fast_path_uses_index ] );
+      ( "maintenance plans",
+        [
+          Alcotest.test_case "join columns indexed" `Quick test_join_columns_indexed;
+          Alcotest.test_case "delta joins probe" `Quick test_delta_joins_probe;
+          Alcotest.test_case "one rulesource probe" `Quick test_one_rulesource_probe;
+          Alcotest.test_case "recover after checkpoint" `Quick test_recover_after_checkpoint;
+        ] );
     ]

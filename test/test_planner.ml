@@ -254,6 +254,52 @@ let test_greedy_empty_table_estimates () =
   | E.Rows { rows; _ } -> Alcotest.(check int) "empty join result" 0 (List.length rows)
   | _ -> Alcotest.fail "rows"
 
+(* A member join replaces an index join whose edges bind every inner
+   column. [pair] is indexed on [a] and large enough (four rows per key)
+   that even the costed planner probes it from the 3-row [probe]; [other]
+   holds the same rows with no index. *)
+let member_tables () =
+  let e = E.create () in
+  let x sql = ignore (E.exec e sql) in
+  x "CREATE TABLE pair (a integer, b integer)";
+  x "CREATE TABLE other (a integer, b integer)";
+  x "CREATE TABLE probe (x integer, y integer)";
+  x "CREATE INDEX idx_pair_a ON pair (a)";
+  let rows =
+    String.concat ", " (List.init 10000 (fun i -> Printf.sprintf "(%d, %d)" (i mod 2500) i))
+  in
+  x ("INSERT INTO pair VALUES " ^ rows);
+  x ("INSERT INTO other VALUES " ^ rows);
+  x "INSERT INTO probe VALUES (1, 1), (1, 2501), (2, 7)";
+  e
+
+let test_member_join_golden_plans () =
+  let e = member_tables () in
+  List.iter
+    (fun (mode, name, unindexed_join) ->
+      E.set_join_order e mode;
+      let golden what sql expected =
+        Alcotest.(check string) (name ^ ": " ^ what) expected (E.explain e sql)
+      in
+      golden "fully bound"
+        "SELECT p.b FROM probe q, pair p WHERE q.x = p.a AND q.y = p.b"
+        "Project [p.b]\n\
+        \  MemberJoin pair probe=[col0,col1]\n\
+        \    SeqScan probe\n";
+      golden "partly bound" "SELECT p.b FROM probe q, pair p WHERE q.x = p.a"
+        "Project [p.b]\n\
+        \  IndexJoin pair via idx_pair_a probe=col0\n\
+        \    SeqScan probe\n";
+      golden "unindexed"
+        "SELECT o.b FROM probe q, other o WHERE q.x = o.a AND q.y = o.b"
+        ("Project [o.b]\n  " ^ unindexed_join ^ "\n    SeqScan probe\n    SeqScan other\n"))
+    [
+      (Rdbms.Planner.Syntactic, "syntactic", "HashJoin keys=[0,1]=[0,1]");
+      (Rdbms.Planner.Greedy, "greedy", "HashJoin keys=[0,1]=[0,1]");
+      (Rdbms.Planner.Costed, "costed", "HashJoin keys=[0,1]=[0,1] build=left");
+    ];
+  E.set_join_order e Rdbms.Planner.Syntactic
+
 let () =
   Alcotest.run "planner"
     [
@@ -283,4 +329,7 @@ let () =
             test_greedy_tie_breaks_on_from_order;
           Alcotest.test_case "empty-table estimates" `Quick test_greedy_empty_table_estimates;
         ] );
+      ( "member join",
+        [ Alcotest.test_case "golden plans, all join orders" `Quick test_member_join_golden_plans ]
+      );
     ]

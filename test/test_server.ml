@@ -213,6 +213,62 @@ let test_reader_not_blocked_by_lfp () =
           Alcotest.(check bool) "reader was served while the writer ran" true (!served > 0);
           ok (Client.commit reader)))
 
+(* A client that sends more than the 1 MiB line cap with no newline is
+   answered ERR and disconnected promptly, and other connections keep
+   being served; a line under the cap that spans many reads is still one
+   request. The raw socket has send and receive timeouts, so a server
+   that never answers fails the test instead of hanging it. *)
+let test_line_cap () =
+  with_server (fun _engine port ->
+      let other = connect port in
+      ignore (ok (Client.sql other "CREATE TABLE t (a integer)"));
+      let rows = String.concat ", " (List.init 3000 (fun i -> Printf.sprintf "(%d)" i)) in
+      let r = ok (Client.sql other ("INSERT INTO t VALUES " ^ rows)) in
+      Alcotest.(check (option string)) "a 20 KB line is one request" (Some "3000")
+        (Client.field r "affected");
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close other;
+          try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0;
+          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+          let t0 = Unix.gettimeofday () in
+          let chunk = Bytes.make 65536 'x' in
+          (* 2 MiB with no newline; the server hangs up part way *)
+          (try
+             for _ = 1 to 32 do
+               let rec write off =
+                 if off < Bytes.length chunk then
+                   write (off + Unix.write fd chunk off (Bytes.length chunk - off))
+               in
+               write 0
+             done
+           with Unix.Unix_error _ -> ());
+          let reply = Buffer.create 64 and buf = Bytes.create 4096 in
+          let rec read () =
+            match Unix.read fd buf 0 (Bytes.length buf) with
+            | 0 -> ()
+            | n ->
+                Buffer.add_subbytes reply buf 0 n;
+                read ()
+            | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+                Alcotest.fail "no reply to an over-long line within 5 s"
+          in
+          read ();
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "ERR reply: %S" (Buffer.contents reply))
+            true
+            (Astring.String.is_prefix ~affix:"ERR request line too long\n"
+               (Buffer.contents reply));
+          Alcotest.(check bool) (Printf.sprintf "closed within a second (%.2f s)" elapsed) true
+            (elapsed < 1.0);
+          ok (Client.ping other)))
+
 let () =
   Alcotest.run "server"
     [
@@ -224,5 +280,6 @@ let () =
           Alcotest.test_case "snapshot over wire" `Quick test_snapshot_over_wire;
           Alcotest.test_case "disconnect cleanup" `Quick test_disconnect_cleans_up;
           Alcotest.test_case "reader not blocked by LFP" `Quick test_reader_not_blocked_by_lfp;
+          Alcotest.test_case "request line cap" `Quick test_line_cap;
         ] );
     ]
