@@ -77,7 +77,9 @@ let tokenize input =
       else if is_digit c || (c = '-' && i + 1 < n && is_digit input.[i + 1]) then begin
         let j = ref (i + 1) in
         while !j < n && is_digit input.[!j] do incr j done;
-        emit (INT (int_of_string (String.sub input i (!j - i)))) i;
+        (match int_of_string_opt (String.sub input i (!j - i)) with
+        | Some v -> emit (INT v) i
+        | None -> raise (Lex_error ("integer literal out of range", pos i)));
         loop !j
       end
       else if c = '"' then begin

@@ -26,4 +26,7 @@ type token =
 exception Lex_error of string * pos
 
 val tokenize : string -> (token * pos) list
+(** Raises {!Lex_error} on an invalid character, an unterminated string
+    or an integer literal that does not fit in an [int]. *)
+
 val token_to_string : token -> string

@@ -4,12 +4,12 @@ type table = {
   mutable tbl_indexes : Index.t list;
   mutable tbl_ordered : Ordered_index.t list;
   mutable tbl_stats : Table_stats.t option;
+  mutable tbl_version : int;
 }
 
 type t = {
   by_name : (string, table) Hashtbl.t;
   index_owner : (string, table) Hashtbl.t; (* index name -> owning table *)
-  mutable version : int;
   mutable version_wiring : (string -> Relation.version_ctl option) option;
       (* decides, per table name at creation time, whether the relation
          participates in snapshot versioning (the engine installs this) *)
@@ -21,7 +21,6 @@ let create () =
   {
     by_name = Hashtbl.create 32;
     index_owner = Hashtbl.create 32;
-    version = 0;
     version_wiring = None;
   }
 
@@ -43,8 +42,9 @@ let wire_versions t tbl =
   | None -> ()
   | Some f -> Relation.set_version_ctl tbl.tbl_relation (f tbl.tbl_name)
 
-let version t = t.version
-let bump t = t.version <- t.version + 1
+(* Invalidates the cached plans that read [tbl]: they recorded the
+   version they were planned under. *)
+let bump tbl = tbl.tbl_version <- tbl.tbl_version + 1
 
 let table_exists t name = Hashtbl.mem t.by_name (key name)
 let find_table t name = Hashtbl.find_opt t.by_name (key name)
@@ -64,11 +64,11 @@ let create_table t name schema =
         tbl_indexes = [];
         tbl_ordered = [];
         tbl_stats = None;
+        tbl_version = 0;
       }
     in
     wire_versions t tbl;
     Hashtbl.add t.by_name (key name) tbl;
-    bump t;
     Ok tbl
   end
 
@@ -81,7 +81,7 @@ let drop_table t name =
         (fun idx -> Hashtbl.remove t.index_owner (key (Ordered_index.name idx)))
         tbl.tbl_ordered;
       Hashtbl.remove t.by_name (key name);
-      bump t;
+      bump tbl;
       Ok ()
 
 let create_index t ~name ~table ~column =
@@ -95,7 +95,7 @@ let create_index t ~name ~table ~column =
         | idx ->
             tbl.tbl_indexes <- tbl.tbl_indexes @ [ idx ];
             Hashtbl.add t.index_owner (key name) tbl;
-            bump t;
+            bump tbl;
             Ok idx
         | exception Invalid_argument msg -> Error msg)
 
@@ -110,7 +110,7 @@ let create_ordered_index t ~name ~table ~column =
         | idx ->
             tbl.tbl_ordered <- tbl.tbl_ordered @ [ idx ];
             Hashtbl.add t.index_owner (key name) tbl;
-            bump t;
+            bump tbl;
             Ok idx
         | exception Invalid_argument msg -> Error msg)
 
@@ -131,7 +131,7 @@ let drop_index t name =
       tbl.tbl_ordered <-
         List.filter (fun idx -> key (Ordered_index.name idx) <> key name) tbl.tbl_ordered;
       Hashtbl.remove t.index_owner (key name);
-      bump t;
+      bump tbl;
       Ok ()
 
 let find_index t ~table ~column =
@@ -142,11 +142,12 @@ let find_index t ~table ~column =
         (fun idx -> String.lowercase_ascii (Index.column idx) = key column)
         tbl.tbl_indexes
 
-let set_stats t tbl stats =
+(* Fresh statistics invalidate the table's cached plans the same way
+   index DDL does: a plan chosen under the old (or missing) stats should
+   be recosted. *)
+let set_stats tbl stats =
   tbl.tbl_stats <- Some stats;
-  (* Fresh statistics invalidate cached plans the same way DDL does: any
-     plan chosen under the old (or missing) stats should be recosted. *)
-  bump t
+  bump tbl
 
 let tables t =
   Hashtbl.fold (fun _ tbl acc -> tbl :: acc) t.by_name []
@@ -164,7 +165,6 @@ let overlay t ~as_of =
     {
       by_name = Hashtbl.create (Hashtbl.length t.by_name);
       index_owner = t.index_owner;
-      version = t.version;
       version_wiring = None;
     }
   in
@@ -180,6 +180,7 @@ let overlay t ~as_of =
               tbl_indexes = [];
               tbl_ordered = [];
               tbl_stats = tbl.tbl_stats;
+              tbl_version = tbl.tbl_version;
             })
     t.by_name;
   o

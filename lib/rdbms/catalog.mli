@@ -9,24 +9,26 @@ type table = {
   mutable tbl_stats : Table_stats.t option;
       (** Optimizer statistics from the last [ANALYZE]; [None] until the
           table has been analyzed. *)
+  mutable tbl_version : int;
+      (** This record's plan version, bumped by CREATE/DROP INDEX on the
+          table, {!set_stats} (ANALYZE) and {!drop_table}. A cached plan
+          records the (record, version) pair of every table it depends on
+          and stays valid while each pair still matches: DDL on one table
+          never invalidates plans over others, and a re-created table is
+          a new record, so no plan over the dropped one can match it.
+          Row changes, TRUNCATE included, do not bump it. *)
 }
 
 type t
 
 val create : unit -> t
 
-val version : t -> int
-(** Monotonically increasing schema version, bumped on every CREATE/DROP
-    TABLE, CREATE/DROP INDEX and {!set_stats} (ANALYZE). Cached query
-    plans are validated against this counter (one integer comparison per
-    execution) instead of hashing schemas; TRUNCATE does not bump it,
-    which is what keeps the LFP scratch tables plan-cache-friendly. *)
-
 val create_table : t -> string -> Schema.t -> (table, string) result
 (** Fails if a table of that name already exists. *)
 
 val drop_table : t -> string -> (unit, string) result
-(** Drops the table and all its indexes. Fails if absent. *)
+(** Drops the table and all its indexes, and bumps the dropped record's
+    version. Fails if absent. *)
 
 val table_exists : t -> string -> bool
 val find_table : t -> string -> table option
@@ -48,9 +50,9 @@ val drop_index : t -> string -> (unit, string) result
 val find_index : t -> table:string -> column:string -> Index.t option
 (** Any index on the given table column. *)
 
-val set_stats : t -> table -> Table_stats.t -> unit
-(** Installs fresh ANALYZE statistics and bumps the schema version so
-    cached plans are re-planned under the new estimates. *)
+val set_stats : table -> Table_stats.t -> unit
+(** Installs fresh ANALYZE statistics and bumps the table's version, so
+    cached plans over it are re-planned under the new estimates. *)
 
 val tables : t -> table list
 (** All tables sorted by name. *)

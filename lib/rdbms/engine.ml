@@ -4,35 +4,51 @@ module Timer = Dkb_util.Timer
    layers (Catalog) can raise it without depending on the engine. *)
 exception Sql_error = Sql_error.Sql_error
 
-(* A plan cached inside a prepared statement, tagged with the catalog
-   version and join-order mode it was planned under. Validation is one
-   integer comparison per execution; any CREATE/DROP TABLE or INDEX (or
-   ANALYZE) bumps the catalog version and invalidates every cached plan at
-   its next use. Under cost-aware planning ([Greedy]/[Costed]) the key
-   also carries a log2 bucket of each referenced table's live cardinality:
-   TRUNCATE and INSERT do not bump the catalog version, so this is what
-   lets the LFP inner loop replan when its delta tables grow or shrink by
-   orders of magnitude (counted in {!Stats.card_replans}). *)
+(* A plan cached inside a prepared statement, tagged with the join-order
+   mode it was planned under and the (table record, version) pair of every
+   table it depends on: the tables it reads, plus an INSERT ... SELECT's
+   target, whose schema the type check used. Validation compares those
+   versions; CREATE/DROP INDEX and ANALYZE bump only their own table's,
+   DROP TABLE bumps the dropped record's, and a re-created table is a new
+   record. Under cost-aware planning ([Greedy]/[Costed]) the key also
+   carries a log2 bucket of each referenced table's live cardinality:
+   TRUNCATE and INSERT bump no version, so this is what lets the LFP inner
+   loop replan when its delta tables grow or shrink by orders of magnitude
+   (counted in {!Stats.card_replans}). *)
 type cached_plan = {
   cp_plan : Plan.t;
-  cp_version : int;
+  cp_deps : (Catalog.table * int) list;
   cp_join_order : Planner.join_order;
   cp_card_key : (string * int) list; (* table -> log2 cardinality bucket *)
   cp_est : Cost.est Lazy.t; (* planner's estimate — forced only when traced *)
   cp_exec : Exec_compiled.t Lazy.t;
       (* compiled form, forced on first execution; it shares the plan's
-         cache entry, so every invalidation (catalog version, join-order
+         cache entry, so every invalidation (table version, join-order
          mode, cardinality-bucket drift) drops both *)
 }
 
+(* A statement-cache entry sits on the cache's recency list, a circular
+   doubly linked list closed by a sentinel; a prepared statement outside
+   the cache (caller-held, or evicted) links to itself. *)
 type prepared = {
   p_sql : string; (* original text, for trace events *)
   p_stmt : Sql_ast.stmt;
   p_tables : string list; (* tables a SELECT/INSERT..SELECT reads from *)
   mutable p_plan : cached_plan option; (* SELECT / INSERT ... SELECT only *)
   mutable p_runs : int; (* executions so far, for hit/miss accounting *)
-  mutable p_last_used : int; (* LRU tick *)
+  mutable p_newer : prepared; (* recency links *)
+  mutable p_older : prepared;
 }
+
+(* The statement cache's reverse index: a table record -> the entries whose
+   cached plan depends on it, by SQL text. Keys compare by identity, so a
+   re-created table never shares a bucket with the record it replaced. *)
+module Readers = Hashtbl.Make (struct
+  type t = Catalog.table
+
+  let equal = ( == )
+  let hash (tbl : t) = Hashtbl.hash tbl.Catalog.tbl_name
+end)
 
 (* Logical undo records, one per primitive mutation, accumulated newest-first
    while a statement (and transaction) executes. Tables are referenced by
@@ -95,8 +111,9 @@ type t = {
   mutable storage : storage option;
   mutable join_order : Planner.join_order;
   stmt_cache : (string, prepared) Hashtbl.t; (* SQL text -> prepared *)
+  lru : prepared; (* recency sentinel: [p_newer] is the least recently used *)
+  readers : (string, prepared) Hashtbl.t Readers.t; (* plan dependencies *)
   mutable cache_enabled : bool;
-  mutable tick : int;
   mutable txn : txn option; (* None = autocommit *)
   mutable sink : undo list ref option; (* the executing statement's undo frame *)
   mutable commit_hook : (string -> unit) option; (* WAL append, via Wal.attach *)
@@ -105,7 +122,6 @@ type t = {
   mutable cur_sql : string option; (* text of the statement being traced *)
   mutable cur_est : Cost.est option; (* estimate of the statement's plan *)
   mutable sanitize : bool; (* audit engine invariants after every statement *)
-  mutable last_version : int; (* catalog version watermark for the sanitizer *)
 }
 
 type result =
@@ -114,6 +130,22 @@ type result =
   | Done
 
 let stmt_cache_capacity = 512
+
+(* A prepared statement outside the statement cache. *)
+let make_prepared sql stmt =
+  let tables = Sql_ast.tables_of_stmt stmt in
+  let rec p =
+    {
+      p_sql = sql;
+      p_stmt = stmt;
+      p_tables = tables;
+      p_plan = None;
+      p_runs = 0;
+      p_newer = p;
+      p_older = p;
+    }
+  in
+  p
 
 let create () =
   let t =
@@ -128,8 +160,9 @@ let create () =
     storage = None;
     join_order = Planner.Syntactic;
     stmt_cache = Hashtbl.create 64;
+    lru = make_prepared "" Sql_ast.Begin;
+    readers = Readers.create 64;
     cache_enabled = true;
-    tick = 0;
     txn = None;
     sink = None;
     commit_hook = None;
@@ -141,7 +174,6 @@ let create () =
       (match Sys.getenv_opt "DKB_SANITIZE" with
       | Some ("1" | "true" | "on") -> true
       | _ -> false);
-    last_version = 0;
   }
   in
   Snapshots.set_capture_hook t.snaps (fun n ->
@@ -261,9 +293,80 @@ let join_order t = t.join_order
 let catalog t = t.catalog
 let stats t = t.stats
 
+(* ------------------------------------------------------------------ *)
+(* The statement cache: O(1) recency list and plan reverse index *)
+
+let in_cache p = p.p_newer != p
+
+let unlink p =
+  p.p_older.p_newer <- p.p_newer;
+  p.p_newer.p_older <- p.p_older;
+  p.p_newer <- p;
+  p.p_older <- p
+
+(* Move [p] to the newest end of the recency list, admitting it if it is
+   not on the list. *)
+let touch t p =
+  unlink p;
+  let s = t.lru in
+  p.p_newer <- s;
+  p.p_older <- s.p_older;
+  s.p_older.p_newer <- p;
+  s.p_older <- p
+
+(* List a cache entry under every table its new plan depends on. *)
+let index_plan t p cp =
+  List.iter
+    (fun (tbl, _) ->
+      match Readers.find_opt t.readers tbl with
+      | Some entries -> Hashtbl.replace entries p.p_sql p
+      | None ->
+          let entries = Hashtbl.create 8 in
+          Hashtbl.add entries p.p_sql p;
+          Readers.add t.readers tbl entries)
+    cp.cp_deps
+
+let unindex_plan t p =
+  match p.p_plan with
+  | None -> ()
+  | Some cp ->
+      List.iter
+        (fun (tbl, _) ->
+          match Readers.find_opt t.readers tbl with
+          | Some entries ->
+              Hashtbl.remove entries p.p_sql;
+              if Hashtbl.length entries = 0 then Readers.remove t.readers tbl
+          | None -> ())
+        cp.cp_deps
+
+(* Drop every cached plan that depends on [tbl] (it is being dropped), so
+   no cache entry keeps its relation reachable. *)
+let release_readers t tbl =
+  match Readers.find_opt t.readers tbl with
+  | None -> ()
+  | Some entries ->
+      Readers.remove t.readers tbl;
+      Hashtbl.iter
+        (fun _ p ->
+          unindex_plan t p;
+          p.p_plan <- None)
+        entries
+
+let evict_lru t =
+  if Hashtbl.length t.stmt_cache > stmt_cache_capacity then begin
+    let victim = t.lru.p_newer in
+    unlink victim;
+    unindex_plan t victim;
+    Hashtbl.remove t.stmt_cache victim.p_sql
+  end
+
 let set_statement_cache t enabled =
   t.cache_enabled <- enabled;
-  if not enabled then Hashtbl.reset t.stmt_cache
+  if not enabled then begin
+    Hashtbl.iter (fun _ p -> unlink p) t.stmt_cache;
+    Hashtbl.reset t.stmt_cache;
+    Readers.reset t.readers
+  end
 
 let statement_cache_enabled t = t.cache_enabled
 let statement_cache_size t = Hashtbl.length t.stmt_cache
@@ -333,6 +436,13 @@ let drop_heap t name =
       | None -> ())
   | None -> ()
 
+(* DROP TABLE, forward or as CREATE-undo: the table's heap file and its
+   cached plans go with it. *)
+let drop_table_raw t (tbl : Catalog.table) =
+  (match Catalog.drop_table t.catalog tbl.Catalog.tbl_name with Ok () | Error _ -> ());
+  drop_heap t tbl.Catalog.tbl_name;
+  release_readers t tbl
+
 let flush_storage t =
   match t.storage with
   | Some st -> Buffer_pool.flush_all st.st_pool
@@ -399,9 +509,9 @@ let apply_undo t u =
       | Some rel -> List.iter (fun row -> ignore (Relation.insert rel row)) rows
       | None -> ())
   | U_create_table name -> (
-      match Catalog.drop_table t.catalog name with
-      | Ok () -> drop_heap t name
-      | Error _ -> ())
+      match Catalog.find_table t.catalog name with
+      | Some tbl -> drop_table_raw t tbl
+      | None -> ())
   | U_drop_table { dt_name; dt_schema; dt_rows; dt_indexes } -> (
       match Catalog.create_table t.catalog dt_name dt_schema with
       | Error _ -> ()
@@ -628,20 +738,14 @@ let run_stmt_raw t stmt =
       t.stats.Stats.page_writes <- t.stats.Stats.page_writes + 1;
       Done
   | Sql_ast.Drop_table { name; if_exists } ->
-      let saved =
-        match (t.sink, Catalog.find_table t.catalog name) with
-        | Some _, Some tbl -> Some (capture_dropped_table tbl)
-        | _ -> None
-      in
-      (match Catalog.drop_table t.catalog name with
-      | Ok () ->
-          drop_heap t name;
-          (match saved with
-          | Some u -> record t (fun () -> u)
-          | None -> ());
+      (match Catalog.find_table t.catalog name with
+      | Some tbl ->
+          (* captured while the heap still holds the rows *)
+          record t (fun () -> capture_dropped_table tbl);
+          drop_table_raw t tbl;
           t.stats.Stats.tables_dropped <- t.stats.Stats.tables_dropped + 1;
           t.stats.Stats.page_writes <- t.stats.Stats.page_writes + 1
-      | Error msg -> if not if_exists then raise (Sql_error msg));
+      | None -> if not if_exists then fail "no such table: %s" name);
       Done
   | Sql_ast.Truncate { name } ->
       clear_table_raw t name;
@@ -664,7 +768,7 @@ let run_stmt_raw t stmt =
             t.stats.Stats.page_reads <-
               t.stats.Stats.page_reads + Relation.pages tbl.Catalog.tbl_relation;
           t.stats.Stats.tables_analyzed <- t.stats.Stats.tables_analyzed + 1;
-          Catalog.set_stats t.catalog tbl (Table_stats.collect tbl.Catalog.tbl_relation))
+          Catalog.set_stats tbl (Table_stats.collect tbl.Catalog.tbl_relation))
         targets;
       Done
   | Sql_ast.Create_index { index; table; column; ordered } ->
@@ -910,21 +1014,43 @@ let run_stmt t stmt =
 let clear_table t name = ignore (run_stmt t (Sql_ast.Truncate { name }) : result)
 
 (* Post-statement sanitizer: with the [sanitize] flag on, audit the
-   structural invariants of every catalog-owned structure and the
-   monotonicity of the schema version after each successful statement.
-   Violations surface as [Sql_error] — the statement that corrupted the
-   engine is the one that fails. *)
-(* Audit the catalog plus, when storage is attached, the buffer pool and
-   heaps — with pool charging suspended, so the audit's own page traffic
-   never pollutes the measured counters. *)
+   structural invariants of every catalog-owned structure and of the
+   statement cache after each successful statement. Violations surface as
+   [Sql_error] — the statement that corrupted the engine is the one that
+   fails. *)
 let snapshot_violations t =
   List.map
     (fun msg -> { Invariants.v_table = "<snapshots>"; v_message = msg })
     (Snapshots.check t.snaps)
 
+(* Every statement-cache plan depends only on table records the catalog
+   still holds: a plan over a dropped record would keep a dead relation
+   reachable. *)
+let stmt_cache_violations t =
+  Hashtbl.fold
+    (fun sql p acc ->
+      match p.p_plan with
+      | None -> acc
+      | Some cp ->
+          List.fold_left
+            (fun acc ((tbl : Catalog.table), _) ->
+              match Catalog.find_table t.catalog tbl.Catalog.tbl_name with
+              | Some held when held == tbl -> acc
+              | _ ->
+                  {
+                    Invariants.v_table = tbl.Catalog.tbl_name;
+                    v_message = Printf.sprintf "cached plan of %S reads a dropped table" sql;
+                  }
+                  :: acc)
+            acc cp.cp_deps)
+    t.stmt_cache []
+
+(* Audit the catalog plus, when storage is attached, the buffer pool and
+   heaps — with pool charging suspended, so the audit's own page traffic
+   never pollutes the measured counters. *)
 let audit_invariants t base =
   let audit () =
-    let vs = base () @ snapshot_violations t in
+    let vs = base () @ snapshot_violations t @ stmt_cache_violations t in
     match t.storage with
     | Some st -> vs @ Invariants.check_storage ~pool:st.st_pool ~heaps:(storage_heaps t)
     | None -> vs
@@ -934,21 +1060,14 @@ let audit_invariants t base =
   | None -> audit ()
 
 let maybe_sanitize t =
-  if t.sanitize then begin
-    let v = Catalog.version t.catalog in
-    if v < t.last_version then
-      fail "sanitize: catalog version moved backwards (%d -> %d)" t.last_version v;
-    t.last_version <- v;
+  if t.sanitize then
     match audit_invariants t (fun () -> Invariants.check_catalog t.catalog) with
     | [] -> ()
     | vs ->
         fail "sanitize: engine invariant violated: %s"
           (String.concat "; " (List.map Invariants.violation_to_string vs))
-  end
 
-let set_sanitize t on =
-  t.sanitize <- on;
-  if on then t.last_version <- Catalog.version t.catalog
+let set_sanitize t on = t.sanitize <- on
 
 let sanitize_enabled t = t.sanitize
 
@@ -1033,14 +1152,7 @@ let prepare t sql =
   charged t @@ fun () ->
   let stmt = parse_or_fail sql in
   t.stats.Stats.statements_prepared <- t.stats.Stats.statements_prepared + 1;
-  {
-    p_sql = sql;
-    p_stmt = stmt;
-    p_tables = Sql_ast.tables_of_stmt stmt;
-    p_plan = None;
-    p_runs = 0;
-    p_last_used = 0;
-  }
+  make_prepared sql stmt
 
 (* Floor log2 of a table's cardinality: rows 1..1 -> 0, 2..3 -> 1,
    4..7 -> 2, ... An empty table gets its own bucket (-1). Buckets are
@@ -1074,39 +1186,51 @@ let card_key t (p : prepared) =
         | None -> (name, -2))
       p.p_tables
 
+(* The (record, version) pairs a plan of [p] depends on: the tables it
+   reads, plus the [target] of an INSERT ... SELECT. *)
+let deps_of t p target =
+  List.filter_map
+    (fun name ->
+      Option.map
+        (fun (tbl : Catalog.table) -> (tbl, tbl.Catalog.tbl_version))
+        (Catalog.find_table t.catalog name))
+    (Option.to_list target @ p.p_tables)
+
+let deps_valid cp =
+  List.for_all (fun ((tbl : Catalog.table), v) -> tbl.Catalog.tbl_version = v) cp.cp_deps
+
 (* Return the prepared statement's plan, reusing the cached operator tree
-   when the catalog version, join-order mode and cardinality buckets still
+   when its table versions, join-order mode and cardinality buckets still
    match. With the statement cache disabled (an ablation configuration)
    every execution replans, so the measured difference is the full cost of
-   plan caching. *)
-let make_cached t plan ~version ~key =
+   plan caching. A rebuilt plan of a statement-cache entry is re-listed in
+   the reverse index; caller-held prepared statements stay out of it and
+   are validated at their next execution. *)
+let make_cached t plan ~deps ~key =
   {
     cp_plan = plan;
-    cp_version = version;
+    cp_deps = deps;
     cp_join_order = t.join_order;
     cp_card_key = key;
     cp_est = lazy (Cost.estimate plan);
     cp_exec = lazy (Exec_compiled.compile t.stats plan);
   }
 
-let plan_of_prepared t p build =
-  let version = Catalog.version t.catalog in
+let plan_of_prepared ?target t p build =
   if not t.cache_enabled then begin
     t.stats.Stats.plan_cache_misses <- t.stats.Stats.plan_cache_misses + 1;
     let plan = build () in
     emit_plan t plan;
     (* a fresh (uncached) entry: compiled form, if used, lives only for
        this execution *)
-    let cp = make_cached t plan ~version ~key:[] in
+    let cp = make_cached t plan ~deps:[] ~key:[] in
     note_est t cp.cp_est;
     cp
   end
   else
   let key = card_key t p in
   match p.p_plan with
-  | Some cp
-    when cp.cp_version = version && cp.cp_join_order = t.join_order
-         && cp.cp_card_key = key ->
+  | Some cp when deps_valid cp && cp.cp_join_order = t.join_order && cp.cp_card_key = key ->
       t.stats.Stats.plan_cache_hits <- t.stats.Stats.plan_cache_hits + 1;
       note_est t cp.cp_est;
       cp
@@ -1115,12 +1239,14 @@ let plan_of_prepared t p build =
       (* a miss caused purely by cardinality drift is the LFP delta
          feedback firing — count it separately *)
       (match prev with
-      | Some cp when cp.cp_version = version && cp.cp_join_order = t.join_order ->
+      | Some cp when deps_valid cp && cp.cp_join_order = t.join_order ->
           t.stats.Stats.card_replans <- t.stats.Stats.card_replans + 1
       | _ -> ());
       let plan = build () in
-      let cp = make_cached t plan ~version ~key in
+      let cp = make_cached t plan ~deps:(deps_of t p target) ~key in
+      unindex_plan t p;
       p.p_plan <- Some cp;
+      if in_cache p then index_plan t p cp;
       emit_plan t plan;
       note_est t cp.cp_est;
       cp
@@ -1135,7 +1261,7 @@ let select_plan_of_prepared t p query order_by =
    the current target schema. Both depend only on the catalog, so a
    successful check stays valid exactly as long as the plan does. *)
 let insert_select_plan_of_prepared t p table query =
-  plan_of_prepared t p (fun () ->
+  plan_of_prepared ~target:table t p (fun () ->
       let plan = plan_query_or_fail t query in
       typecheck_insert_select t table plan;
       plan)
@@ -1170,25 +1296,6 @@ let exec_prepared t p =
   maybe_sanitize t;
   result
 
-let touch t p =
-  t.tick <- t.tick + 1;
-  p.p_last_used <- t.tick
-
-let evict_lru t =
-  if Hashtbl.length t.stmt_cache > stmt_cache_capacity then begin
-    let victim =
-      Hashtbl.fold
-        (fun sql p acc ->
-          match acc with
-          | Some (_, best) when best <= p.p_last_used -> acc
-          | _ -> Some (sql, p.p_last_used))
-        t.stmt_cache None
-    in
-    match victim with
-    | Some (sql, _) -> Hashtbl.remove t.stmt_cache sql
-    | None -> ()
-  end
-
 (* Fetch (or admit) the transparent-cache entry for a SQL text. Plain
    INSERT ... VALUES texts are executed uncached: fact loads rarely repeat
    verbatim and would only wash useful entries out of the LRU. *)
@@ -1207,16 +1314,7 @@ let cached_prepared t sql =
       | Sql_ast.Analyze _ -> None
       | _ ->
           t.stats.Stats.statements_prepared <- t.stats.Stats.statements_prepared + 1;
-          let p =
-            {
-              p_sql = sql;
-              p_stmt = stmt;
-              p_tables = Sql_ast.tables_of_stmt stmt;
-              p_plan = None;
-              p_runs = 0;
-              p_last_used = 0;
-            }
-          in
+          let p = make_prepared sql stmt in
           touch t p;
           Hashtbl.replace t.stmt_cache sql p;
           evict_lru t;

@@ -13,11 +13,14 @@ type t
 type prepared
 (** A statement parsed once and executable many times. SELECT and
     INSERT ... SELECT statements additionally cache their planned operator
-    tree; the plan is revalidated against {!Catalog.version} (and the
-    engine's join-order mode) on each execution and rebuilt after a
-    CREATE/DROP TABLE or INDEX, or ANALYZE. TRUNCATE does not bump the
-    catalog version; under {!Planner.Syntactic} planning it therefore
-    never invalidates plans, while the cost-aware modes
+    tree, with the {!Catalog.table.tbl_version} of every table it depends
+    on: the tables it reads, plus an INSERT ... SELECT's target. The plan
+    is revalidated against those versions (and the engine's join-order
+    mode) on each execution, and rebuilt after CREATE/DROP INDEX or
+    ANALYZE on one of those tables, or after one of them was dropped (a
+    re-created table is a new record); DDL on any other table leaves it
+    valid. TRUNCATE bumps no version; under {!Planner.Syntactic} planning
+    it therefore never invalidates plans, while the cost-aware modes
     ({!Planner.Greedy}/{!Planner.Costed}) additionally key the cached plan
     on a log2 bucket of each referenced table's cardinality, so a plan is
     rebuilt — counted in {!Stats.card_replans} — when a table it reads
@@ -156,10 +159,11 @@ val suspend_logging : t -> (unit -> 'a) -> 'a
 val set_sanitize : t -> bool -> unit
 (** Toggle the invariant sanitizer: with it on, every statement executed
     through {!exec}, {!exec_stmt} or {!exec_prepared} is followed by
-    {!Invariants.check_catalog} plus a catalog-version monotonicity
-    check, and any violation raises {!Sql_error} (attributing the
-    corruption to the statement that caused it). Defaults to the
-    [DKB_SANITIZE] environment variable ([1]/[true]/[on]). *)
+    {!Invariants.check_catalog} plus a statement-cache audit (every cached
+    plan depends only on table records the catalog still holds), and any
+    violation raises {!Sql_error} (attributing the corruption to the
+    statement that caused it). Defaults to the [DKB_SANITIZE] environment
+    variable ([1]/[true]/[on]). *)
 
 val sanitize_enabled : t -> bool
 
@@ -170,8 +174,10 @@ val check_invariants : t -> Invariants.violation list
 val exec : t -> string -> result
 (** Execute one SQL statement given as text. When the statement cache is
     enabled (the default), the text is looked up in a transparent LRU
-    cache keyed on the exact SQL string: repeat executions skip lexing,
-    parsing and (for SELECT / INSERT ... SELECT) planning. Plain
+    cache of 512 entries keyed on the exact SQL string: repeat executions
+    skip lexing, parsing and (for SELECT / INSERT ... SELECT) planning.
+    DROP TABLE (or the undo of a CREATE TABLE) drops the cached plans that
+    depend on the table at once, so no entry keeps its relation alive. Plain
     [INSERT ... VALUES] texts bypass the cache — bulk fact loads rarely
     repeat verbatim and would only evict useful entries.
     {!Stats.plan_cache_hits} / {!Stats.plan_cache_misses} count reuse. *)

@@ -81,8 +81,8 @@ type stmt =
   | Drop_table of { name : string; if_exists : bool }
   | Truncate of { name : string }
       (** [TRUNCATE TABLE t]: remove all rows but keep the table, its
-          schema and its indexes — unlike DROP+CREATE it does not change
-          the catalog version, so cached plans stay valid *)
+          schema and its indexes — unlike DROP+CREATE it keeps the table
+          record and its version, so cached plans over it stay valid *)
   | Create_index of {
       index : string;
       table : string;

@@ -24,6 +24,7 @@ exception Lex_error of string * int
 
 val tokenize : string -> (token * int) list
 (** All tokens with their starting byte offsets, ending with [EOF].
-    Raises {!Lex_error} on an invalid character or unterminated string. *)
+    Raises {!Lex_error} on an invalid character, an unterminated string
+    or an integer literal that does not fit in an [int]. *)
 
 val token_to_string : token -> string

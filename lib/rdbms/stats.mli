@@ -31,7 +31,8 @@ type t = {
           re-parsing or re-planning *)
   mutable plan_cache_misses : int;
       (** executions that had to (re)build a plan: first use of a SQL
-          text, or a cached plan invalidated by a catalog change *)
+          text, or a cached plan invalidated by DDL or ANALYZE on a table
+          it depends on *)
   mutable txns_committed : int;
       (** explicit transactions ended by COMMIT (autocommitted single
           statements are not counted) *)

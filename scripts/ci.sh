@@ -1,9 +1,10 @@
 #!/bin/sh
 # One-command CI gate: build everything, run the full test suite, smoke
 # the JSON-emitting benches at quick scale (under _build/bench-smoke, so
-# the committed full-scale BENCH_*.json files stay untouched), then drive
-# the shell's observability commands end to end and check the trace
-# sink's JSONL.
+# the committed full-scale BENCH_*.json files stay untouched), run each
+# benchmark workload briefly with its answer checks, then drive the
+# server and the shell's observability commands end to end and check the
+# trace sink's JSONL.
 #
 # Build, tests and the sanitizer pass stop the run at their first
 # failure. Every later gate runs regardless of the others, prints its own
@@ -12,6 +13,7 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+ROOT=$(pwd)
 
 echo "== build =="
 dune build @all
@@ -147,14 +149,33 @@ server_bench_gate() {
 }
 gate "server bench gates" server_bench_gate
 
+PERF=_build/perfbench-smoke
+perfbench_smoke() {
+  # each benchmark workload runs for 2 s and verifies every answer; its
+  # result line (the last on stdout) must report correct and 0 failed ops
+  rm -rf "$PERF"
+  mkdir -p "$PERF"
+  for w in derive maintain wire; do
+    LINE=$(cd "$PERF" && ../default/perfbench/dkbbench.exe --workload "$w" --seed 1 \
+      --seconds 2 --trace 0 --dkbd "$ROOT/_build/default/bin/dkbd.exe" | tail -n 1)
+    echo "$w: $LINE"
+    case "$LINE" in
+      *'"correct": true'*'"failed": 0,'*) ;;
+      *) echo "perfbench $w: not correct, or failed ops"; exit 1 ;;
+    esac
+  done
+}
+gate "perfbench smoke (derive, maintain, wire)" perfbench_smoke
+
 server_smoke() {
   DLOG=$(mktemp /tmp/dkb_ci_dkbd.XXXXXX)
   SEED=$(mktemp /tmp/dkb_ci_seed.XXXXXX)
   C1=$(mktemp /tmp/dkb_ci_c1.XXXXXX)
   C2=$(mktemp /tmp/dkb_ci_c2.XXXXXX)
+  C3=$(mktemp /tmp/dkb_ci_c3.XXXXXX)
   DKBD=""
   # a failing check must not leave dkbd running
-  trap '[ -z "$DKBD" ] || kill "$DKBD" 2>/dev/null; rm -f "$DLOG" "$SEED" "$C1" "$C2"' EXIT
+  trap '[ -z "$DKBD" ] || kill "$DKBD" 2>/dev/null; rm -f "$DLOG" "$SEED" "$C1" "$C2" "$C3"' EXIT
 
   echo "CREATE TABLE acct (id integer, bal integer); INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30)" > "$SEED"
   ./_build/default/bin/dkbd.exe --port 0 --script "$SEED" > "$DLOG" 2>&1 &
@@ -168,23 +189,32 @@ server_smoke() {
     sleep 0.1
   done
   [ -n "$PORT" ] || { echo "dkbd did not start"; cat "$DLOG"; exit 1; }
-  # two clients at once: one defines a base and runs a derivation, the
-  # other holds a snapshot over the seeded table
+  # three clients at once: one defines a base and runs a derivation, one
+  # holds a snapshot over the seeded table, and one sends an integer
+  # literal too large for an int, then PING on the same connection
   printf 'BASE parent p:str c:str\nSQL INSERT INTO parent VALUES (%s), (%s)\nRULE anc(X,Y) :- parent(X,Y).\nRULE anc(X,Y) :- parent(X,Z), anc(Z,Y).\nQUERY anc(a, W)\nQUIT\n' \
     "'a', 'b'" "'b', 'c'" | ./_build/default/bin/dkbc.exe --port "$PORT" > "$C1" &
   P1=$!
   printf 'PING\nBEGIN SNAPSHOT\nSQL SELECT COUNT(*) FROM acct\nCOMMIT\nQUIT\n' \
     | ./_build/default/bin/dkbc.exe --port "$PORT" > "$C2" &
   P2=$!
+  printf 'SQL SELECT id FROM acct WHERE id = 99999999999999999999\nPING\nQUIT\n' \
+    | ./_build/default/bin/dkbc.exe --port "$PORT" > "$C3" &
+  P3=$!
   wait $P1 || { echo "client 1 transport failure"; cat "$C1"; exit 1; }
   wait $P2 || { echo "client 2 transport failure"; cat "$C2"; exit 1; }
+  wait $P3 || { echo "client 3 transport failure"; cat "$C3"; exit 1; }
   grep -q "^OK rows=2$" "$C1" || { echo "derivation over the wire failed"; cat "$C1"; exit 1; }
   grep -q "^3$" "$C2" || { echo "snapshot count over the wire failed"; cat "$C2"; exit 1; }
   if grep -q "^ERR" "$C1" "$C2"; then echo "server smoke: unexpected ERR"; cat "$C1" "$C2"; exit 1; fi
+  # client 3: one ERR for the literal, then the PING reply (line 3)
+  [ "$(grep -c "^ERR" "$C3")" -eq 1 ] && grep -q "^ERR .*integer literal out of range" "$C3" \
+    || { echo "oversized literal: expected one typed ERR"; cat "$C3"; exit 1; }
+  [ "$(sed -n 3p "$C3")" = "OK" ] || { echo "PING after the oversized literal not answered"; cat "$C3"; exit 1; }
   printf 'SHUTDOWN\n' | ./_build/default/bin/dkbc.exe --port "$PORT" > /dev/null
   wait $DKBD || { DKBD=""; echo "dkbd did not shut down cleanly"; exit 1; }
   DKBD=""
-  echo "server smoke OK: port $PORT, 2 concurrent clients, clean shutdown"
+  echo "server smoke OK: port $PORT, 3 concurrent clients, clean shutdown"
 }
 gate "server smoke (dkbd + concurrent dkbc clients)" server_smoke
 

@@ -76,6 +76,13 @@ let test_parse_errors () =
   fails "p(X) :- q(X) r(X).";
   fails "p(X). q(X)."
 
+let test_integer_overflow () =
+  Alcotest.(check bool) "lex error at the literal" true
+    (try
+       ignore (Datalog.Lexer.tokenize "p(a) :- q(a, 99999999999999999999).");
+       false
+     with Datalog.Lexer.Lex_error ("integer literal out of range", { line = 1; col = 14 }) -> true)
+
 let test_vars_of () =
   let c = P.parse_clause "p(X, Y, X) :- q(Y, Z)." in
   Alcotest.(check (list string)) "head vars dedup ordered" [ "X"; "Y" ] (A.vars_of_atom c.A.head);
@@ -154,6 +161,7 @@ let () =
           Alcotest.test_case "program" `Quick test_parse_program;
           Alcotest.test_case "query" `Quick test_parse_query;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "integer overflow" `Quick test_integer_overflow;
         ] );
       ( "ast",
         [

@@ -1,6 +1,7 @@
 (* Tests for the prepared-statement API, the transparent statement cache
-   and its catalog-version invalidation, TRUNCATE, and scratch-table reuse
-   in the LFP runtime. *)
+   (its per-table plan invalidation, eager release of dropped tables'
+   plans, and LRU eviction), TRUNCATE, and scratch-table reuse in the LFP
+   runtime. *)
 
 module E = Rdbms.Engine
 module Stats = Rdbms.Stats
@@ -90,6 +91,145 @@ let test_replan_after_index_ddl () =
   Alcotest.(check bool) "back to seq scan after DROP INDEX" true
     (contains ~affix:"SeqScan t" (E.explain e sql))
 
+(* ---------------- per-table plan dependencies ---------------- *)
+
+(* A weak pointer to table [name]'s relation; the strong references die
+   with this frame. *)
+let[@inline never] weak_relation e name =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Rdbms.Catalog.find_table_exn (E.catalog e) name).Rdbms.Catalog.tbl_relation);
+  w
+
+let reachable w =
+  Gc.full_major ();
+  Weak.check w 0
+
+let test_drop_releases_plans () =
+  let e = fresh_engine () in
+  let w = weak_relation e "t" in
+  let sql = "SELECT a FROM t WHERE b = 20" in
+  ignore (E.exec e sql);
+  ignore (E.exec e sql);
+  ignore (E.exec e "DROP TABLE t");
+  Alcotest.(check bool) "no cached plan keeps the dropped relation" false (reachable w);
+  (* [e] stays live past the collection *)
+  Alcotest.(check bool) "the text stays cached without its plan" true (E.statement_cache_size e > 0)
+
+let test_rollback_releases_plans () =
+  let e = fresh_engine () in
+  ignore (E.exec e "BEGIN");
+  ignore (E.exec e "CREATE TABLE u (c integer)");
+  let w = weak_relation e "u" in
+  ignore (E.exec e "INSERT INTO u VALUES (1), (2)");
+  Alcotest.(check int) "visible inside the transaction" 2 (E.scalar_int e "SELECT COUNT(*) FROM u");
+  ignore (E.exec e "ROLLBACK");
+  Alcotest.(check bool) "no cached plan keeps the rolled-back relation" false (reachable w);
+  (* [e] stays live past the collection *)
+  Alcotest.(check bool) "table rolled back" false (Rdbms.Catalog.table_exists (E.catalog e) "u")
+
+(* The audit flags a cached plan over a table dropped behind the
+   engine's back, which no engine path can leave. *)
+let test_audit_flags_dropped_reader () =
+  let e = fresh_engine () in
+  ignore (E.exec e "SELECT a FROM t WHERE b = 20");
+  Alcotest.(check int) "clean" 0 (List.length (E.check_invariants e));
+  (match Rdbms.Catalog.drop_table (E.catalog e) "t" with Ok () -> () | Error m -> Alcotest.fail m);
+  Alcotest.(check (list string)) "flagged"
+    [ "t: cached plan of \"SELECT a FROM t WHERE b = 20\" reads a dropped table" ]
+    (List.map Rdbms.Invariants.violation_to_string (E.check_invariants e))
+
+(* Hits and misses of [f ()], as a pair of deltas. *)
+let hits_misses st f =
+  let h = st.Stats.plan_cache_hits and m = st.Stats.plan_cache_misses in
+  f ();
+  (st.Stats.plan_cache_hits - h, st.Stats.plan_cache_misses - m)
+
+let test_ddl_replans_only_its_table () =
+  let e = fresh_engine () in
+  ignore (E.exec e "CREATE TABLE u (a integer, b integer)");
+  ignore (E.exec e "INSERT INTO u VALUES (1, 10), (2, 20)");
+  let over_t = "SELECT a FROM t WHERE b = 20" and over_u = "SELECT a FROM u WHERE b = 20" in
+  let run_both () =
+    ignore (E.exec e over_t);
+    ignore (E.exec e over_u)
+  in
+  run_both ();
+  let st = E.stats e in
+  List.iter
+    (fun ddl ->
+      ignore (E.exec e ddl);
+      Alcotest.(check (pair int int))
+        (ddl ^ ": plan over t hits, plan over u replans")
+        (1, 1) (hits_misses st run_both))
+    [ "ANALYZE u"; "CREATE INDEX iu ON u (b)"; "DROP INDEX iu" ];
+  ignore (E.exec e "CREATE TABLE v (c integer)");
+  ignore (E.exec e "DROP TABLE v");
+  Alcotest.(check (pair int int)) "another table's CREATE and DROP: both hit" (2, 0)
+    (hits_misses st run_both)
+
+let test_other_session_query_keeps_plans () =
+  let module S = Core.Session in
+  let ok = Experiments.Common.ok in
+  let e = E.create () in
+  let a = S.of_engine e and b = S.of_engine e in
+  ok (S.define_base a "parent" [ ("p", Rdbms.Datatype.TStr); ("c", Rdbms.Datatype.TStr) ] ());
+  ignore (ok (S.sql a "INSERT INTO parent VALUES ('a', 'b'), ('b', 'c')"));
+  ok (S.load_rules b "anc(X, Y) :- parent(X, Y).\nanc(X, Y) :- parent(X, Z), anc(Z, Y).");
+  let sql = "SELECT c FROM parent WHERE p = 'a'" in
+  ignore (ok (S.sql a sql));
+  let answer = ok (S.query b "anc(a, W)") in
+  Alcotest.(check int) "B's derivation" 2 (List.length (snd (S.answer_rows answer)));
+  Alcotest.(check bool) "B's LFP created and dropped tables" true
+    ((S.db_stats b).Stats.tables_dropped > 0);
+  Alcotest.(check (pair int int)) "A's cached SELECT is still a hit" (1, 0)
+    (hits_misses (S.db_stats a) (fun () -> ignore (ok (S.sql a sql))))
+
+(* ---------------- LRU eviction ---------------- *)
+
+let capacity = 512
+let text i = Printf.sprintf "SELECT a FROM t WHERE b = %d" i
+
+let test_lru_capacity () =
+  let e = fresh_engine () in
+  for i = 1 to capacity + 100 do
+    ignore (E.exec e (text i));
+    if E.statement_cache_size e > capacity then
+      Alcotest.failf "%d entries after %d admissions" (E.statement_cache_size e) i
+  done;
+  Alcotest.(check int) "full" capacity (E.statement_cache_size e)
+
+let test_lru_order () =
+  let e = E.create () in
+  ignore (E.exec e "CREATE TABLE t (a integer, b integer)");
+  (* eviction order: the CREATE text, then texts 1, 2, ... *)
+  for i = 1 to capacity - 1 do
+    ignore (E.exec e (text i))
+  done;
+  Alcotest.(check int) "full" capacity (E.statement_cache_size e);
+  let st = E.stats e in
+  let hit sql = hits_misses st (fun () -> ignore (E.exec e sql)) = (1, 0) in
+  Alcotest.(check bool) "text 1 cached" true (hit (text 1));
+  (* two admissions: the CREATE text goes, then text 2, not the touched text 1 *)
+  ignore (E.exec e (text capacity));
+  ignore (E.exec e (text (capacity + 1)));
+  Alcotest.(check bool) "the touched text survives" true (hit (text 1));
+  Alcotest.(check bool) "the least recently used text was evicted" false (hit (text 2));
+  Alcotest.(check int) "still full" capacity (E.statement_cache_size e)
+
+let test_lru_touched_text_survives () =
+  let e = fresh_engine () in
+  let keep = "SELECT b FROM t WHERE a = 1" and lose = "SELECT b FROM t WHERE a = 2" in
+  ignore (E.exec e keep);
+  ignore (E.exec e lose);
+  let st = E.stats e in
+  for i = 1 to capacity do
+    ignore (E.exec e (text i));
+    Alcotest.(check (pair int int)) "touched text hits" (1, 0)
+      (hits_misses st (fun () -> ignore (E.exec e keep)))
+  done;
+  Alcotest.(check (pair int int)) "the untouched text of the same age was evicted" (0, 1)
+    (hits_misses st (fun () -> ignore (E.exec e lose)))
+
 (* ---------------- TRUNCATE ---------------- *)
 
 let test_truncate () =
@@ -98,11 +238,12 @@ let test_truncate () =
   let sql = "SELECT a FROM t WHERE b = 20" in
   Alcotest.(check int) "one row before" 1 (List.length (E.query e sql));
   let st = E.stats e in
-  let version = Rdbms.Catalog.version (E.catalog e) in
+  let version () = (Rdbms.Catalog.find_table_exn (E.catalog e) "t").Rdbms.Catalog.tbl_version in
+  let v0 = version () in
   ignore (E.exec e "TRUNCATE TABLE t");
   Alcotest.(check int) "counted" 1 st.Stats.tables_truncated;
   Alcotest.(check int) "empty" 0 (E.table_cardinality e "t");
-  Alcotest.(check int) "catalog version unchanged" version (Rdbms.Catalog.version (E.catalog e));
+  Alcotest.(check int) "table version unchanged" v0 (version ());
   ignore (E.exec e "INSERT INTO t VALUES (5, 20)");
   let m = st.Stats.plan_cache_misses in
   Alcotest.(check int) "index stayed consistent" 1 (List.length (E.query e sql));
@@ -180,6 +321,18 @@ let () =
           Alcotest.test_case "drop+create table" `Quick test_replan_after_drop_create;
           Alcotest.test_case "index ddl" `Quick test_replan_after_index_ddl;
           Alcotest.test_case "truncate" `Quick test_truncate;
+          Alcotest.test_case "drop releases plans" `Quick test_drop_releases_plans;
+          Alcotest.test_case "rollback releases plans" `Quick test_rollback_releases_plans;
+          Alcotest.test_case "audit flags a dropped reader" `Quick test_audit_flags_dropped_reader;
+          Alcotest.test_case "ddl replans only its table" `Quick test_ddl_replans_only_its_table;
+          Alcotest.test_case "other session's query keeps plans" `Quick
+            test_other_session_query_keeps_plans;
+        ] );
+      ( "lru",
+        [
+          Alcotest.test_case "capacity" `Quick test_lru_capacity;
+          Alcotest.test_case "least recently used first" `Quick test_lru_order;
+          Alcotest.test_case "touched text survives" `Quick test_lru_touched_text_survives;
         ] );
       ( "lfp runtime",
         [

@@ -143,21 +143,27 @@ let test_catalog_indexes () =
 
 let test_catalog_version () =
   let c = C.create () in
-  let v0 = C.version c in
   (match C.create_table c "t" schema2 with Ok _ -> () | Error e -> Alcotest.fail e);
-  let v1 = C.version c in
-  Alcotest.(check bool) "create table bumps" true (v1 > v0);
+  (match C.create_table c "u" schema2 with Ok _ -> () | Error e -> Alcotest.fail e);
+  let version name = (C.find_table_exn c name).C.tbl_version in
+  let v0 = version "t" and u0 = version "u" in
   (match C.create_index c ~name:"ix" ~table:"t" ~column:"a" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  let v2 = C.version c in
-  Alcotest.(check bool) "create index bumps" true (v2 > v1);
+  let v1 = version "t" in
+  Alcotest.(check bool) "create index bumps its table" true (v1 > v0);
   (* clearing rows is not a schema change *)
   R.clear (C.find_table_exn c "t").C.tbl_relation;
-  Alcotest.(check int) "clear does not bump" v2 (C.version c);
+  Alcotest.(check int) "clear does not bump" v1 (version "t");
   (match C.drop_index c "ix" with Ok () -> () | Error e -> Alcotest.fail e);
+  let v2 = version "t" in
+  Alcotest.(check bool) "drop index bumps its table" true (v2 > v1);
+  let dropped = C.find_table_exn c "t" in
   (match C.drop_table c "t" with Ok () -> () | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "drops bump" true (C.version c > v2)
+  Alcotest.(check bool) "drop table bumps the dropped record" true (dropped.C.tbl_version > v2);
+  (match C.create_table c "t" schema2 with Ok _ -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "a re-created table is a new record" true (C.find_table_exn c "t" != dropped);
+  Alcotest.(check int) "DDL on t leaves u's version alone" u0 (version "u")
 
 let test_catalog_drop_table_drops_indexes () =
   let c = C.create () in

@@ -73,6 +73,58 @@ let test_placeholder_overflow () =
       | Ok _ -> Alcotest.fail "overflowing placeholder accepted");
       ok (Client.ping c))
 
+(* An integer literal too large for an int is a lex error: the server
+   answers ERR and keeps serving the connection. *)
+let test_integer_literal_overflow () =
+  with_server (fun _engine port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      ignore (ok (Client.sql c "CREATE TABLE t (a integer)"));
+      (match Client.sql c "SELECT a FROM t WHERE a = 99999999999999999999" with
+      | Error msg ->
+          Alcotest.(check bool) "err names the literal's range" true
+            (Astring.String.is_infix ~affix:"integer literal out of range" msg)
+      | Ok _ -> Alcotest.fail "overflowing literal accepted");
+      ok (Client.ping c))
+
+(* The cache_misses counter of a connection's STATS line. *)
+let cache_misses c =
+  match (ok (Client.command c "STATS")).Client.body with
+  | [ [ line ] ] ->
+      List.find_map
+        (fun kv ->
+          match String.split_on_char '=' kv with
+          | [ "cache_misses"; n ] -> int_of_string_opt n
+          | _ -> None)
+        (String.split_on_char ' ' line)
+      |> Option.get
+  | _ -> Alcotest.fail "STATS body is not one line"
+
+(* One connection's QUERY creates and drops LFP scratch tables; it must
+   not invalidate the cached plans another connection's EXEC reuses. *)
+let test_query_keeps_other_plans () =
+  with_server (fun _engine port ->
+      let a = connect port in
+      let b = connect port in
+      Fun.protect
+        ~finally:(fun () -> Client.close a; Client.close b)
+        (fun () ->
+          ignore (ok (Client.sql a "CREATE TABLE acct (id integer, bal integer)"));
+          ignore (ok (Client.sql a "INSERT INTO acct VALUES (1, 10), (2, 20)"));
+          ignore (ok (Client.prepare a "q" "SELECT bal FROM acct WHERE id = ?1"));
+          ignore (ok (Client.exec a "q" [ "1" ]));
+          ignore (ok (Client.exec a "q" [ "1" ]));
+          let misses = cache_misses a in
+          ignore (ok (Client.base b "parent" [ ("p", "str"); ("c", "str") ]));
+          ignore (ok (Client.sql b "INSERT INTO parent VALUES ('a', 'b'), ('b', 'c')"));
+          ignore (ok (Client.rule b "anc(X,Y) :- parent(X,Y)."));
+          ignore (ok (Client.rule b "anc(X,Y) :- parent(X,Z), anc(Z,Y)."));
+          let r = ok (Client.query b "anc(a, W)") in
+          Alcotest.(check (option string)) "B's derivation" (Some "2") (Client.field r "rows");
+          let r = ok (Client.exec a "q" [ "1" ]) in
+          Alcotest.(check (list (list string))) "A's answer" [ [ "10" ] ] (Client.rows r);
+          Alcotest.(check int) "A's repeated EXEC is still a hit" misses (cache_misses a)))
+
 let test_writer_gating () =
   with_server (fun _engine port ->
       let c1 = connect port in
@@ -281,5 +333,8 @@ let () =
           Alcotest.test_case "disconnect cleanup" `Quick test_disconnect_cleans_up;
           Alcotest.test_case "reader not blocked by LFP" `Quick test_reader_not_blocked_by_lfp;
           Alcotest.test_case "request line cap" `Quick test_line_cap;
+          Alcotest.test_case "integer literal overflow" `Quick test_integer_literal_overflow;
+          Alcotest.test_case "query keeps other connections' plans" `Quick
+            test_query_keeps_other_plans;
         ] );
     ]

@@ -122,6 +122,21 @@ let test_errors () =
   Alcotest.(check bool) "bad fact arity" true
     (Result.is_error (Session.add_fact s "parent" [ V.Str "solo" ]))
 
+(* An integer literal too large for an int is a lex error in both front
+   ends, returned as [Error], never an escaping [Failure]. *)
+let test_integer_overflow () =
+  let s = family () in
+  let huge = "99999999999999999999" in
+  let out_of_range what = function
+    | Error msg ->
+        Alcotest.(check bool) (what ^ ": " ^ msg) true
+          (Astring.String.is_infix ~affix:"integer literal out of range" msg)
+    | Ok _ -> Alcotest.fail (what ^ " accepted the literal")
+  in
+  out_of_range "Session.sql" (Session.sql s ("SELECT c FROM parent WHERE p = " ^ huge));
+  out_of_range "Session.query" (Session.query s ("ancestor(" ^ huge ^ ", W)"));
+  out_of_range "Session.add_rule" (Session.add_rule s ("p(X) :- parent(X, " ^ huge ^ ")."))
+
 let test_max_iterations_is_an_error () =
   (* an exceeded iteration cap is an evaluation Error, not an escaping
      Failure crashing the boundary *)
@@ -201,6 +216,7 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "errors" `Quick test_errors;
+          Alcotest.test_case "integer overflow" `Quick test_integer_overflow;
           Alcotest.test_case "iteration cap" `Quick test_max_iterations_is_an_error;
           Alcotest.test_case "rule head clashes with base" `Quick test_rule_head_clashing_with_base;
           Alcotest.test_case "explain" `Quick test_explain;

@@ -53,6 +53,14 @@ let test_bad_char () =
        false
      with L.Lex_error (_, 2) -> true)
 
+let test_integer_overflow () =
+  Alcotest.(check (list tok)) "max_int fits" [ L.INT max_int; L.EOF ] (toks (string_of_int max_int));
+  Alcotest.(check bool) "one past it is a lex error at the literal" true
+    (try
+       ignore (L.tokenize "a = 99999999999999999999");
+       false
+     with L.Lex_error ("integer literal out of range", 4) -> true)
+
 let test_offsets () =
   let offsets = List.map snd (L.tokenize "ab cd") in
   Alcotest.(check (list int)) "token offsets" [ 0; 3; 5 ] offsets
@@ -72,5 +80,6 @@ let () =
           Alcotest.test_case "punctuation" `Quick test_punctuation;
           Alcotest.test_case "bad char" `Quick test_bad_char;
           Alcotest.test_case "offsets" `Quick test_offsets;
+          Alcotest.test_case "integer overflow" `Quick test_integer_overflow;
         ] );
     ]

@@ -46,14 +46,19 @@ let test_analyze_collects () =
 let test_analyze_counters_and_version () =
   let e = fresh_pets () in
   exec e "CREATE TABLE toys (id integer)";
+  let version name = (Rdbms.Catalog.find_table_exn (E.catalog e) name).Rdbms.Catalog.tbl_version in
+  let pets0 = version "pets" and toys0 = version "toys" in
+  exec e "ANALYZE pets";
+  Alcotest.(check bool) "ANALYZE t bumps t's version" true (version "pets" > pets0);
+  Alcotest.(check int) "and no other table's" toys0 (version "toys");
+  let pets1 = version "pets" in
   let before = Stats.copy (E.stats e) in
-  let v0 = Rdbms.Catalog.version (E.catalog e) in
   exec e "ANALYZE";
   let d = Stats.diff (E.stats e) before in
   Alcotest.(check int) "both tables analyzed" 2 d.Stats.tables_analyzed;
   Alcotest.(check bool) "reads the analyzed pages" true (d.Stats.page_reads > 0);
-  Alcotest.(check bool) "ANALYZE bumps the catalog version" true
-    (Rdbms.Catalog.version (E.catalog e) > v0);
+  Alcotest.(check bool) "ANALYZE bumps every analyzed table's version" true
+    (version "pets" > pets1 && version "toys" > toys0);
   (* unknown table is a typed error *)
   Alcotest.(check bool) "unknown table" true
     (try
