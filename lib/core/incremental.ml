@@ -375,40 +375,54 @@ let subset_variants plan ?(distinct = true) ~changed ~delta_of clause =
           (rule_select plan ~distinct ~lead ~override clause, popcount mask))
         (List.init ((1 lsl k) - 1) (fun m -> m + 1))
 
+(* Body positions of a rule's clique-member occurrences. *)
+let member_positions members rule =
+  List.concat
+    (List.mapi
+       (fun i lit ->
+         match lit with
+         | Ast.Pos a when List.mem a.Ast.pred members -> [ i ]
+         | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> [])
+       rule.Ast.body)
+
+(* DRed's rederivation form of a rule: guarded by the over-deleted set of
+   its head, an extra literal at the end of the body, so a SIP order
+   led elsewhere joins it last. Returns the rule and the guard's
+   position, whose table callers supply by override: [odel__h] is no
+   predicate, and looking it up would probe rulesource. *)
+let guarded_rule head rule =
+  let guard = Ast.Pos { Ast.pred = Names.overdel head; args = rule.Ast.head.Ast.args } in
+  ({ rule with Ast.body = rule.Ast.body @ [ guard ] }, List.length rule.Ast.body)
+
 (* Semi-naive delta variants of the recursive rules of a clique: one per
    clique-member occurrence, that occurrence reading [delta_table], the
    other member occurrences [member_table], upstream its current table.
-   Returns [(member_table_of_head, select)] pairs for
-   {!Runtime.resume_seminaive}. *)
-let clique_delta_rules plan ~members ~target ~delta_table ~member_table rec_rules =
+   With [guarded], each variant also carries its head's guard, joined
+   after the delta (DRed rederivation). Returns
+   [(member_table_of_head, select)] pairs for {!Runtime.resume_seminaive}. *)
+let clique_delta_rules plan ?(guarded = false) ~members ~target ~delta_table ~member_table
+    rec_rules =
   List.concat_map
     (fun (head, rule) ->
-      let body = Array.of_list rule.Ast.body in
-      let idxs =
-        List.filter_map
-          (fun i ->
-            match body.(i) with
-            | Ast.Pos a when List.mem a.Ast.pred members -> Some i
-            | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> None)
-          (List.init (Array.length body) (fun i -> i))
+      let rule, guard =
+        if guarded then
+          let rule, g = guarded_rule head rule in
+          (rule, Some g)
+        else (rule, None)
       in
+      let body = Array.of_list rule.Ast.body in
       List.map
         (fun i ->
           let override j =
             match body.(j) with
+            | _ when Some j = guard -> Some (Names.overdel head)
             | Ast.Pos a when List.mem a.Ast.pred members ->
                 Some (if j = i then delta_table a.Ast.pred else member_table a.Ast.pred)
             | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> None
           in
           (target head, rule_select plan ~lead:(( = ) i) ~override rule))
-        idxs)
+        (member_positions members rule))
     rec_rules
-
-(* DRed's rederivation form of a rule: guarded by the over-deleted set of
-   its head, read at body position 0. *)
-let guarded_rule head rule =
-  let guard = Ast.Pos { Ast.pred = Names.overdel head; args = rule.Ast.head.Ast.args } in
-  { rule with Ast.body = guard :: rule.Ast.body }
 
 (* ------------------------------------------------------------------ *)
 (* Table lifecycle *)
@@ -452,8 +466,10 @@ let lead_sets body =
    one of them is indexed already the first gets an index, which turns
    that join from a hash join over a scan into an index (or member) join.
    A literal with a constant or a repeated variable carries a local
-   filter, which the planner never probes through an index. *)
-let index_join_columns t plan ?leads clause =
+   filter, which the planner never probes through an index. [override]
+   names the table of a position that reads no base or [mat__] table
+   (a DRed guard). *)
+let index_join_columns t plan ?leads ?(override = fun _ -> None) clause =
   let catalog = Engine.catalog t.engine in
   let body = Array.of_list clause.Ast.body in
   let probe leads bound i =
@@ -465,9 +481,9 @@ let index_join_columns t plan ?leads clause =
           bound <> []
           && (not (List.mem i leads))
           && (not filtered)
-          && (plan.is_base a.Ast.pred || List.mem_assoc a.Ast.pred plan.derived)
+          && (override i <> None || plan.is_base a.Ast.pred || List.mem_assoc a.Ast.pred plan.derived)
         then begin
-          let table = cur_table plan a.Ast.pred in
+          let table = match override i with Some tbl -> tbl | None -> cur_table plan a.Ast.pred in
           let bound_cols =
             List.concat
               (List.map2
@@ -488,15 +504,17 @@ let index_join_columns t plan ?leads clause =
       ignore (List.fold_left (probe leads) [] (sip_order body ~lead:(fun i -> List.mem i leads))))
     (match leads with Some l -> l | None -> lead_sets body)
 
-(* Drop and recreate every maintenance table of the plan: the [mat__p]
-   materializations (hash-indexed on c1 so per-tuple deletes hit the
-   DELETE index fast path), [matcnt__p] for counting nodes, the
-   per-update [insd__]/[deld__] delta tables for every derived and base
-   dependency, and the DRed / semi-naive scratch tables for cliques; then
-   index the base and [mat__] columns the delta joins probe. Base-table
-   indexes outlive the call, so a column already indexed (by an earlier
-   [ensure], or restored from a checkpoint) is skipped. *)
-let ensure_tables t plan =
+(* Drop and recreate the maintenance tables of [nodes]: the [mat__p]
+   materializations (hash-indexed on c1, which the counting nodes'
+   per-tuple deletes probe), [matcnt__p] for counting nodes, the
+   per-update [insd__]/[deld__] delta tables of each derived predicate and
+   of each of [bases], and the DRed / semi-naive scratch tables for
+   cliques; then index the base and [mat__] columns the delta joins of
+   the plan probe, and the guard tables of its rederivations. A column
+   already indexed (by an earlier call, or restored from a checkpoint) is
+   skipped, so only the tables just created, and the upstream columns
+   the new nodes probe, gain indexes. *)
+let ensure_tables t plan ~nodes ~bases =
   Engine.suspend_logging t.engine @@ fun () ->
   let scratch_of tbl cols =
     List.iter (fun s -> recreate t s cols) [ Names.delta tbl; Names.new_delta tbl ]
@@ -519,20 +537,26 @@ let ensure_tables t plan =
       match node with
       | P_pred { pred; strat; _ } -> per_derived ~counting:(strat = S_counting) pred
       | P_clique { members; _ } -> List.iter (fun m -> per_derived ~clique:true m) members)
-    plan.nodes;
+    nodes;
   List.iter
     (fun (b, cols) ->
       recreate t (Names.ins_delta b) cols;
       recreate t (Names.del_delta b) cols)
-    plan.bases;
+    bases;
   List.iter
     (function
       | P_pred { rules; strat = S_counting; _ } -> List.iter (index_join_columns t plan) rules
-      | P_clique { exit_rules; rec_rules; strat = S_dred; _ } ->
+      | P_clique { members; exit_rules; rec_rules; strat = S_dred; _ } ->
           List.iter
             (fun (head, r) ->
               index_join_columns t plan r;
-              index_join_columns t plan ~leads:[ [ 0 ] ] (guarded_rule head r))
+              (* the guard leads the first rederivation pass, a member
+                 occurrence each guarded delta variant *)
+              let guarded, g = guarded_rule head r in
+              index_join_columns t plan
+                ~leads:([ g ] :: List.map (fun i -> [ i ]) (member_positions members r))
+                ~override:(fun j -> if j = g then Some (Names.overdel head) else None)
+                guarded)
             (exit_rules @ rec_rules)
       | P_pred _ | P_clique _ -> ())
     plan.nodes
@@ -603,12 +627,16 @@ let truncate_node_tables t = function
       if strat = S_counting then clear t (Names.cnt pred)
   | P_clique { members; _ } -> List.iter (fun m -> clear t (Names.mat m)) members
 
-(* Truncate every materialization and re-evaluate the whole plan — the
-   fallback path and the recovery/initialization path. *)
-let refresh_plan t plan =
+(* Truncate the materializations of [nodes] (in plan order) and
+   re-evaluate them over the current state of everything upstream. *)
+let refresh_nodes t plan nodes =
   Engine.suspend_logging t.engine @@ fun () ->
-  List.iter (truncate_node_tables t) plan.nodes;
-  List.iter (eval_node t plan) plan.nodes
+  List.iter (truncate_node_tables t) nodes;
+  List.iter (eval_node t plan) nodes
+
+(* The whole plan — the fallback path and the recovery/initialization
+   path. *)
+let refresh_plan t plan = refresh_nodes t plan plan.nodes
 
 (* ------------------------------------------------------------------ *)
 (* Per-node maintenance: deletion phase *)
@@ -658,6 +686,37 @@ let counting_del t plan ~del_changed ~chg p rules =
     end
   end
 
+(* The semi-naive member step, by hand, for a clique whose [cand__]
+   tables [seed] fills: each member's delta becomes [cand EXCEPT mat],
+   which the affected count sizes, and is absorbed into [mat__m] and,
+   with [sink], into [sink m]. Leaves the deltas as the seed
+   {!Runtime.resume_seminaive} expects; returns whether any member
+   gained a tuple. *)
+let seed_members t ?sink members seed =
+  List.iter
+    (fun m ->
+      let mt = Names.mat m in
+      clear t (Names.delta mt);
+      clear t (Names.new_delta mt))
+    members;
+  seed ();
+  List.fold_left
+    (fun any m ->
+      let mt = Names.mat m and delta = Names.delta (Names.mat m) in
+      match
+        Engine.exec t.engine
+          (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" delta
+             (Names.new_delta mt) mt)
+      with
+      | Engine.Affected n when n > 0 ->
+          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" mt delta);
+          Option.iter
+            (fun sink -> exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (sink m) delta))
+            sink;
+          true
+      | _ -> any)
+    false members
+
 (* DRed clique, deletions: over-delete everything a deleted tuple could
    have supported, rederive the survivors from what remains, and emit the
    true deletions. *)
@@ -699,34 +758,44 @@ let dred_del t plan ~del_changed ~chg ~rederived ~label ~members ~exit_rules ~re
         (Runtime.resume_seminaive t.engine ~label:("maint:" ^ label ^ ":overdelete")
            ~members:(List.map Names.overdel members) ~rules ())
     end;
-    (* apply the over-deletions to the materializations *)
+    (* apply the over-deletions to the materializations, one set-based
+       DELETE per member *)
     List.iter
       (fun m ->
-        let cols = plan.columns m in
-        List.iter
-          (fun row -> exec t (Printf.sprintf "DELETE FROM %s WHERE %s" (Names.mat m) (row_where cols row)))
-          (q t ("SELECT * FROM " ^ Names.overdel m)))
+        exec t
+          (Printf.sprintf "DELETE FROM %s WHERE (%s) IN (SELECT * FROM %s)" (Names.mat m)
+             (String.concat ", " (plan.columns m))
+             (Names.overdel m)))
       members;
     let card_total () =
       List.fold_left (fun acc m -> acc + Engine.table_cardinality t.engine (Names.mat m)) 0 members
     in
     let post_delete = card_total () in
-    (* rederive survivors: each rule guarded by the over-deleted set of
-       its head, re-run to a fixpoint over the post-deletion state *)
-    let guarded =
-      List.map
+    (* rederive the survivors semi-naively: every rule guarded by the
+       over-deleted set of its head runs once over the post-deletion
+       state, then the guarded delta variants of the recursive rules
+       resume the loop from what came back *)
+    let first_pass () =
+      List.iter
         (fun (head, rule) ->
-          let override j = if j = 0 then Some (Names.overdel head) else None in
-          Printf.sprintf "INSERT INTO %s %s" (Names.mat head)
-            (rule_select plan ~lead:(( = ) 0) ~override (guarded_rule head rule)))
+          let guarded, g = guarded_rule head rule in
+          let override j = if j = g then Some (Names.overdel head) else None in
+          exec t
+            (Printf.sprintf "INSERT INTO %s %s"
+               (Names.new_delta (Names.mat head))
+               (rule_select plan ~lead:(( = ) g) ~override guarded)))
         (exit_rules @ rec_rules)
     in
-    let continue_ = ref true in
-    while !continue_ do
-      let before = card_total () in
-      List.iter (exec t) guarded;
-      if card_total () = before then continue_ := false
-    done;
+    if seed_members t members first_pass && rec_rules <> [] then begin
+      let rules =
+        clique_delta_rules plan ~guarded:true ~members ~target:Names.mat
+          ~delta_table:(fun m -> Names.delta (Names.mat m))
+          ~member_table:Names.mat rec_rules
+      in
+      ignore
+        (Runtime.resume_seminaive t.engine ~label:("maint:" ^ label ^ ":rederive")
+           ~members:(List.map Names.mat members) ~rules ())
+    end;
     rederived := !rederived + (card_total () - post_delete);
     (* the true deletions: over-deleted and not rederived *)
     List.iter
@@ -797,36 +866,15 @@ let counting_ins t plan ~ins_changed ~chg p rules =
    genuinely new tuple into [insd__m]. *)
 let dred_ins t plan ~ins_changed ~chg ~label ~members ~exit_rules ~rec_rules =
   let upstream_changed q' = Hashtbl.mem ins_changed q' && not (List.mem q' members) in
-  List.iter
-    (fun m ->
-      let mt = Names.mat m in
-      clear t (Names.delta mt);
-      clear t (Names.new_delta mt))
-    members;
-  List.iter
-    (fun (head, rule) ->
-      List.iter
-        (fun (sql, _) -> exec t ("INSERT INTO " ^ Names.new_delta (Names.mat head) ^ " " ^ sql))
-        (subset_variants plan ~changed:upstream_changed ~delta_of:Names.ins_delta rule))
-    (exit_rules @ rec_rules);
-  (* the loop's member step by hand: the EXCEPT fills the (empty) delta
-     table directly and its affected count is the number of new tuples *)
-  let any = ref false in
-  List.iter
-    (fun m ->
-      let mt = Names.mat m and delta = Names.delta (Names.mat m) in
-      match
-        Engine.exec t.engine
-          (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" delta
-             (Names.new_delta mt) mt)
-      with
-      | Engine.Affected n when n > 0 ->
-          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" mt delta);
-          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.ins_delta m) delta);
-          any := true
-      | _ -> ())
-    members;
-  if !any && rec_rules <> [] then begin
+  let seed () =
+    List.iter
+      (fun (head, rule) ->
+        List.iter
+          (fun (sql, _) -> exec t ("INSERT INTO " ^ Names.new_delta (Names.mat head) ^ " " ^ sql))
+          (subset_variants plan ~changed:upstream_changed ~delta_of:Names.ins_delta rule))
+      (exit_rules @ rec_rules)
+  in
+  if seed_members t ~sink:Names.ins_delta members seed && rec_rules <> [] then begin
     let rules =
       clique_delta_rules plan ~members ~target:Names.mat
         ~delta_table:(fun m -> Names.delta (Names.mat m))
@@ -1133,13 +1181,35 @@ let materialize t ~mode root =
           | Auto -> if recursive then S_dred else S_counting
       in
       let assigned = List.map (fun p -> (p, strategy p)) derived in
-      List.iter
-        (fun (p, s) -> Stored_dkb.register_matview t.stored p (strategy_to_string s))
-        assigned;
-      invalidate t;
-      let plan = get_plan t in
-      ensure_tables t plan;
-      refresh_plan t plan;
+      (* only the nodes whose registration this call adds or changes are
+         built: every other view keeps its tables, indexes and rows *)
+      let before = registered t in
+      let changed =
+        List.filter_map
+          (fun (p, s) ->
+            let s = strategy_to_string s in
+            if List.assoc_opt p before = Some s then None
+            else begin
+              Stored_dkb.register_matview t.stored p s;
+              Some p
+            end)
+          assigned
+      in
+      if changed <> [] then begin
+        invalidate t;
+        let plan = get_plan t in
+        let nodes =
+          List.filter (fun n -> List.exists (fun p -> List.mem p changed) (node_preds n)) plan.nodes
+        in
+        let catalog = Engine.catalog t.engine in
+        let bases =
+          List.filter
+            (fun (b, _) -> not (Rdbms.Catalog.table_exists catalog (Names.ins_delta b)))
+            plan.bases
+        in
+        ensure_tables t plan ~nodes ~bases;
+        refresh_nodes t plan nodes
+      end;
       Ok assigned
     end
   with
@@ -1163,7 +1233,7 @@ let ensure t =
     if is_maintained t then begin
       invalidate t;
       let plan = get_plan t in
-      ensure_tables t plan;
+      ensure_tables t plan ~nodes:plan.nodes ~bases:plan.bases;
       refresh_plan t plan
     end;
     Ok ()

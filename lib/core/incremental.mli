@@ -16,7 +16,11 @@
     - {b DRed} (recursive cliques): over-delete everything a deleted
       tuple could have supported (seeded by the subset variants, then
       propagated with {!Runtime.resume_seminaive} over [odel__m] tables),
-      rederive the survivors with over-delete-guarded rules, and emit the
+      remove that set from each [mat__m] with one
+      [DELETE ... WHERE (c1, ..., cn) IN (SELECT * FROM odel__m)],
+      rederive the survivors semi-naively (the rules guarded by the
+      over-deleted set of their head run once, then the guarded delta
+      variants of the recursive rules resume the loop), and emit the
       difference; insertions seed the new derivations and resume the
       semi-naive loop over the materializations themselves.
 
@@ -64,10 +68,12 @@ val is_maintained : t -> bool
 
 val materialize : t -> mode:mode -> string -> ((string * strategy) list, string) result
 (** Materializes a derived predicate and everything it depends on:
-    assigns and persists a strategy per predicate, creates the
-    maintenance tables, hash-indexes the base and view columns the delta
-    joins probe (skipping columns already indexed), and evaluates the
-    views. Returns the assignments. *)
+    assigns and persists a strategy per predicate; for each view whose
+    registration this adds or changes, creates the maintenance tables,
+    hash-indexes the base and view columns its delta joins probe
+    (skipping columns already indexed), and evaluates it. Views already
+    registered with the same strategy keep their tables and rows.
+    Returns the assignments. *)
 
 val refresh : t -> (unit, string) result
 (** Truncate and fully re-evaluate every registered view (the fallback

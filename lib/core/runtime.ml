@@ -34,6 +34,7 @@ type report = {
 
 type ctx = {
   engine : Engine.t;
+  prepare : string -> Engine.prepared;
   phases : Timer.Phases.t;
   index_derived : bool;
   max_iterations : int;
@@ -81,7 +82,7 @@ let exec ctx bucket sql =
 
 (* The LFP inner loop executes the same handful of SQL texts every
    iteration; each is parsed and planned exactly once, before the loop. *)
-let prep ctx sql = Engine.prepare ctx.engine sql
+let prep ctx sql = ctx.prepare sql
 
 let run_prep ctx bucket p =
   Timer.Phases.record ctx.phases bucket (fun () ->
@@ -333,6 +334,9 @@ let execute engine ?(strategy = Seminaive) ?(index_derived = false) ?(max_iterat
   let ctx =
     {
       engine;
+      (* the program's scratch tables are dropped when it ends, so its
+         plans die with the call: caller-held, not cached *)
+      prepare = Engine.prepare engine;
       phases;
       index_derived;
       max_iterations;
@@ -409,7 +413,10 @@ let execute engine ?(strategy = Seminaive) ?(index_derived = false) ?(max_iterat
 (* Re-entering the semi-naive loop over existing tables (incremental
    view maintenance). The caller owns table lifecycle: each member table
    holds the current state, its delta table the seed (already absorbed
-   into the member), and the new-delta scratch table exists. *)
+   into the member), and the new-delta scratch table exists. Those
+   tables outlive the call and the statement texts are fixed per view,
+   so the statements come from the engine's statement cache and keep
+   their plans from one call to the next. *)
 
 let resume_seminaive engine ?(max_iterations = 100_000) ?observer ~label ~members ~rules
     ?accumulate () =
@@ -417,6 +424,7 @@ let resume_seminaive engine ?(max_iterations = 100_000) ?observer ~label ~member
   let ctx =
     {
       engine;
+      prepare = Engine.prepare_cached engine;
       phases = Timer.Phases.create ();
       index_derived = false;
       max_iterations;

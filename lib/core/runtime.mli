@@ -79,5 +79,7 @@ val resume_seminaive :
     [rules] are [(member, select_sql)] pairs whose SELECT reads the delta
     tables and whose rows are inserted into [Names.new_delta member].
     [accumulate m = Some sink] additionally copies every genuinely-new
-    tuple of [m] into [sink] as it is discovered. Runs with WAL logging
-    suspended; returns the iteration count. *)
+    tuple of [m] into [sink] as it is discovered. The loop's statements
+    come from the engine's statement cache ({!Rdbms.Engine.prepare_cached}),
+    so a later call over the same tables reuses their plans. Runs with WAL
+    logging suspended; returns the iteration count. *)

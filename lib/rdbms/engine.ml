@@ -647,10 +647,11 @@ let clear_table_raw t name =
       t.stats.Stats.tables_truncated <- t.stats.Stats.tables_truncated + 1;
       Relation.clear rel
 
-(* Check an INSERT ... SELECT source plan against the target table's
-   current schema. Both depend only on the catalog, so a successful check
-   stays valid exactly as long as a cached plan does. *)
-let typecheck_insert_select t table plan =
+(* Check a subquery plan whose rows are whole rows of [table] (the source
+   of INSERT ... SELECT, the subquery of DELETE ... IN) against the
+   table's current schema. Both depend only on the catalog, so a
+   successful check stays valid exactly as long as a cached plan does. *)
+let typecheck_row_source ~what t table plan =
   let tbl =
     match Catalog.find_table t.catalog table with
     | Some tbl -> tbl
@@ -660,13 +661,27 @@ let typecheck_insert_select t table plan =
   let source_types = Array.map (fun c -> c.Plan.h_type) (Plan.header_of plan) in
   let target_types = Array.of_list (Schema.types target) in
   if Array.length source_types <> Array.length target_types then
-    fail "INSERT ... SELECT: arity mismatch (%d into %d)" (Array.length source_types)
+    fail "%s: arity mismatch (%d into %d)" what (Array.length source_types)
       (Array.length target_types);
   Array.iteri
     (fun i ty ->
       if not (Datatype.equal ty target_types.(i)) then
-        fail "INSERT ... SELECT: column %d type mismatch" (i + 1))
-    source_types
+        fail "%s: column %d type mismatch" what (i + 1))
+    source_types;
+  target
+
+let typecheck_insert_select t table plan =
+  ignore (typecheck_row_source ~what:"INSERT ... SELECT" t table plan : Schema.t)
+
+(* DELETE ... IN also names the target's columns: exactly its own, in
+   schema order, so the membership test is on whole rows. *)
+let typecheck_delete_in t table columns plan =
+  let target = typecheck_row_source ~what:"DELETE ... IN" t table plan in
+  let lower = List.map String.lowercase_ascii in
+  if lower columns <> lower (Schema.names target) then
+    fail "DELETE ... IN: column list (%s) must be %s's columns in order (%s)"
+      (String.concat ", " columns) table
+      (String.concat ", " (Schema.names target))
 
 (* Capture everything needed to recreate a table if a transaction drops it
    and then rolls back. *)
@@ -721,6 +736,32 @@ let scan_victims t table rel where =
         (plan_query_or_fail t
            (Sql_ast.Q_select
               { distinct = false; items = [ Sql_ast.Sel_star ]; from; where = Some cond; group_by = [] }))
+
+let target_relation t table =
+  match Catalog.find_table t.catalog table with
+  | Some tbl -> tbl.Catalog.tbl_relation
+  | None -> fail "no such table: %s" table
+
+(* Remove each of [rows] from [table] by full-row membership, one undo
+   record per removed row; rows absent from the table are skipped. The
+   rows are fully evaluated before the first removal, so a subquery over
+   the target itself sees the state before the statement. *)
+let delete_rows t table rel rows =
+  let deleted = ref 0 and bytes = ref 0 in
+  List.iter
+    (fun row ->
+      if Relation.delete rel row then begin
+        record t (fun () -> U_delete (table, row));
+        incr deleted;
+        bytes := !bytes + Tuple.byte_size row
+      end)
+    rows;
+  if !deleted > 0 then begin
+    if not (measured rel) then
+      t.stats.Stats.page_writes <- t.stats.Stats.page_writes + max 1 (Stats.pages_of_bytes !bytes);
+    t.stats.Stats.rows_deleted <- t.stats.Stats.rows_deleted + !deleted
+  end;
+  Affected !deleted
 
 (* Execute a statement that has already been counted in [stats.statements].
    SELECT and INSERT ... SELECT are planned from scratch here; the cached
@@ -808,12 +849,7 @@ let run_stmt_raw t stmt =
       insert_batch ~trust:true t table
         (Exec_compiled.run_batch (Exec_compiled.compile t.stats plan))
   | Sql_ast.Delete { table; where } ->
-      let tbl =
-        match Catalog.find_table t.catalog table with
-        | Some tbl -> tbl
-        | None -> fail "no such table: %s" table
-      in
-      let rel = tbl.Catalog.tbl_relation in
+      let rel = target_relation t table in
       (* Fast path: a WHERE that is a conjunction of [col = literal]
          predicates with a hash index on one of the columns is answered
          by an index probe (charged like any probe: one bucket read)
@@ -868,25 +904,13 @@ let run_stmt_raw t stmt =
               matched
         | None -> scan_victims t table rel where
       in
-      let deleted =
-        List.fold_left
-          (fun acc row ->
-            if Relation.delete rel row then begin
-              record t (fun () -> U_delete (table, row));
-              acc + 1
-            end
-            else acc)
-          0 victims
-      in
-      if deleted > 0 then begin
-        if not (measured rel) then begin
-          let bytes = List.fold_left (fun acc r -> acc + Tuple.byte_size r) 0 victims in
-          t.stats.Stats.page_writes <-
-            t.stats.Stats.page_writes + max 1 (Stats.pages_of_bytes bytes)
-        end;
-        t.stats.Stats.rows_deleted <- t.stats.Stats.rows_deleted + deleted
-      end;
-      Affected deleted
+      delete_rows t table rel victims
+  | Sql_ast.Delete_in { table; columns; query } ->
+      let plan = plan_query_or_fail t query in
+      typecheck_delete_in t table columns plan;
+      emit_plan t plan;
+      note_est_of_plan t plan;
+      delete_rows t table (target_relation t table) (run_plan t.stats plan)
   | Sql_ast.Update { table; sets; where } ->
       let tbl =
         match Catalog.find_table t.catalog table with
@@ -1257,13 +1281,14 @@ let select_plan_of_prepared t p query order_by =
       | Planner.Plan_error msg -> raise (Sql_error msg)
       | Failure msg -> raise (Sql_error msg))
 
-(* Plan the source query of INSERT ... SELECT and type-check it against
-   the current target schema. Both depend only on the catalog, so a
-   successful check stays valid exactly as long as the plan does. *)
-let insert_select_plan_of_prepared t p table query =
+(* Plan the subquery of INSERT ... SELECT or DELETE ... IN and [check]
+   it against the current target schema. Both depend only on the
+   catalog, so a successful check stays valid exactly as long as the plan
+   does. *)
+let subquery_plan_of_prepared t p table query check =
   plan_of_prepared ~target:table t p (fun () ->
       let plan = plan_query_or_fail t query in
-      typecheck_insert_select t table plan;
+      check plan;
       plan)
 
 let exec_prepared t p =
@@ -1281,8 +1306,14 @@ let exec_prepared t p =
         Rows { columns; rows }
     | Sql_ast.Insert_select { table; query } as stmt ->
         with_stmt_frame t stmt (fun () ->
-            let cp = insert_select_plan_of_prepared t p table query in
+            let cp = subquery_plan_of_prepared t p table query (typecheck_insert_select t table) in
             insert_batch ~trust:true t table (Exec_compiled.run_batch (Lazy.force cp.cp_exec)))
+    | Sql_ast.Delete_in { table; columns; query } as stmt ->
+        with_stmt_frame t stmt (fun () ->
+            let cp =
+              subquery_plan_of_prepared t p table query (typecheck_delete_in t table columns)
+            in
+            delete_rows t table (target_relation t table) (Exec_compiled.run (Lazy.force cp.cp_exec)))
     | stmt ->
         (* no plan to cache, but a re-execution still skips lexing and
            parsing — count it so the counters mean "compiled form reused" *)
@@ -1319,6 +1350,12 @@ let cached_prepared t sql =
           Hashtbl.replace t.stmt_cache sql p;
           evict_lru t;
           Some p)
+
+let prepare_cached t sql =
+  charged t @@ fun () ->
+  match if t.cache_enabled then cached_prepared t sql else None with
+  | Some p -> p
+  | None -> prepare t sql
 
 let exec t sql =
   charged t @@ fun () ->

@@ -189,6 +189,13 @@ val prepare : t -> string -> prepared
 (** Parse [sql] once into a caller-held prepared statement. Counted in
     {!Stats.statements_prepared}. *)
 
+val prepare_cached : t -> string -> prepared
+(** The statement cache's entry for [sql], admitted if absent, so a
+    caller that re-runs the same fixed texts across calls keeps their
+    parses and plans (the incremental-maintenance loops). Texts the cache
+    never admits (INSERT ... VALUES, transaction control, ANALYZE), and
+    every text while the cache is disabled, get a fresh {!prepare}. *)
+
 val exec_prepared : t -> prepared -> result
 (** Execute a prepared statement, reusing its cached plan when still
     valid (see {!prepared}). *)

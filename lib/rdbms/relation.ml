@@ -70,12 +70,55 @@ let pages t =
 
 let mem t row = Tuple_tbl.mem t.ids row
 
+let iteri f t =
+  for id = 0 to t.next_id - 1 do
+    match t.rows.(id) with
+    | Some row -> f id row
+    | None -> ()
+  done
+
+(* Renumber the live rows densely, in their order. Without it a relation
+   under delete and insert churn (a maintained view) keeps a slot for
+   every row it ever held, so its memory and its scans grow with every
+   update it has seen. The tuple table and the heap locations are
+   renumbered in place; the observers (indexes) rebuild through their
+   clear and insert hooks in id order, so scans and probes return rows
+   in the same order as before. *)
+let compact t =
+  let remap = Array.make t.next_id (-1) in
+  let n = ref 0 in
+  for id = 0 to t.next_id - 1 do
+    match t.rows.(id) with
+    | None -> ()
+    | Some _ as slot ->
+        remap.(id) <- !n;
+        t.rows.(!n) <- slot;
+        (* every live row of a backed relation has a location below
+           [Array.length bk_locs], and [!n <= id] *)
+        (match t.backing with Some b -> b.bk_locs.(!n) <- b.bk_locs.(id) | None -> ());
+        incr n
+  done;
+  Array.fill t.rows !n (t.next_id - !n) None;
+  (match t.backing with
+  | Some b -> Array.fill b.bk_locs !n (Array.length b.bk_locs - !n) (-1)
+  | None -> ());
+  t.next_id <- !n;
+  Tuple_tbl.map_values t.ids (fun id -> remap.(id));
+  List.iter (fun f -> f ()) t.clear_obs;
+  iteri (fun id row -> List.iter (fun f -> f id row) t.insert_obs) t
+
+(* Room for the next row id: a full slot array is compacted when at
+   least half of it is tombstones, else doubled. Compaction leaves it at
+   most half full, so its O(slots) cost is spread over the inserts that
+   filled it. *)
 let ensure_capacity t =
-  if t.next_id >= Array.length t.rows then begin
-    let bigger = Array.make (2 * Array.length t.rows) None in
-    Array.blit t.rows 0 bigger 0 (Array.length t.rows);
-    t.rows <- bigger
-  end
+  if t.next_id >= Array.length t.rows then
+    if 2 * cardinal t <= Array.length t.rows then compact t
+    else begin
+      let bigger = Array.make (2 * Array.length t.rows) None in
+      Array.blit t.rows 0 bigger 0 (Array.length t.rows);
+      t.rows <- bigger
+    end
 
 (* The insert body without the schema check: the engine uses this for
    INSERT ... SELECT rows, whose types were already proven against the
@@ -160,10 +203,11 @@ let prune_versions t ~needed =
 
 let insert_unchecked t row =
   maybe_capture t;
+  (* before the id is taken: compaction renumbers *)
+  ensure_capacity t;
   let id = t.next_id in
   if not (Tuple_tbl.insert_if_absent t.ids row id) then false
   else begin
-    ensure_capacity t;
     t.rows.(id) <- Some row;
     t.next_id <- id + 1;
     t.bytes <- t.bytes + Tuple.byte_size row;
@@ -211,13 +255,6 @@ let clear t =
       b.bk_locs <- Array.make 16 (-1)
   | None -> ());
   List.iter (fun f -> f ()) t.clear_obs
-
-let iteri f t =
-  for id = 0 to t.next_id - 1 do
-    match t.rows.(id) with
-    | Some row -> f id row
-    | None -> ()
-  done
 
 (* Whole-relation scans on a backed relation go through the heap, so
    their page I/O is real: pool misses, not byte arithmetic. Id-addressed

@@ -2,8 +2,13 @@
     iteration in insertion order, byte/page accounting, and support points
     for hash indexes ({!Index}).
 
-    Rows have stable integer ids from insertion; deletion leaves a
-    tombstone, so ids remain valid for index maintenance. *)
+    Rows have integer ids in insertion order; deletion leaves a
+    tombstone, so ids stay valid for index maintenance between inserts.
+    An insert that finds the id slots full and at least half of them
+    tombstones first renumbers the live rows densely, in the same order:
+    observers then see a clear followed by one insert per live row, which
+    rebuilds indexes. So memory follows the live rows, not every row a
+    relation under churn ever held. *)
 
 type t
 
@@ -60,14 +65,14 @@ val clear : t -> unit
 
 val iter : (Tuple.t -> unit) -> t -> unit
 val iteri : (int -> Tuple.t -> unit) -> t -> unit
-(** [iteri] passes the stable row id. *)
+(** [iteri] passes the row id. *)
 
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val to_list : t -> Tuple.t list
 (** Rows in insertion order. *)
 
 val get_row : t -> int -> Tuple.t option
-(** Row by stable id; [None] for tombstones and out-of-range ids. *)
+(** Row by id; [None] for tombstones and out-of-range ids. *)
 
 val on_insert : t -> (int -> Tuple.t -> unit) -> unit
 (** Registers an observer invoked after each successful insert (used by

@@ -74,6 +74,7 @@ type stmt =
   | Insert_values of { table : string; rows : literal list list }
   | Insert_select of { table : string; query : query }
   | Delete of { table : string; where : cond option }
+  | Delete_in of { table : string; columns : string list; query : query }
   | Update of {
       table : string;
       sets : (string * scalar) list;
@@ -105,7 +106,8 @@ let tables_of_query q =
   List.sort_uniq String.compare !acc
 
 let tables_of_stmt = function
-  | Select { query; _ } | Insert_select { query; _ } -> tables_of_query query
+  | Select { query; _ } | Insert_select { query; _ } | Delete_in { query; _ } ->
+      tables_of_query query
   | Create_table _ | Drop_table _ | Truncate _ | Create_index _ | Drop_index _
   | Insert_values _ | Delete _ | Update _ | Begin | Commit | Rollback | Analyze _ ->
       []

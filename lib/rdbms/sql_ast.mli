@@ -2,7 +2,8 @@
 
     The subset is what the paper's Knowledge Manager needs to emit:
     CREATE/DROP TABLE, CREATE/DROP INDEX, INSERT (VALUES and SELECT),
-    DELETE, and SELECT with multi-table FROM, conjunctive/disjunctive
+    DELETE (by condition, or by row membership in a subquery:
+    [DELETE FROM t WHERE (c1, ..., cn) IN (SELECT ...)]), and SELECT with multi-table FROM, conjunctive/disjunctive
     comparison predicates, DISTINCT, COUNT( * ), UNION [ALL], EXCEPT/MINUS,
     and top-level ORDER BY. *)
 
@@ -93,6 +94,12 @@ type stmt =
   | Insert_values of { table : string; rows : literal list list }
   | Insert_select of { table : string; query : query }
   | Delete of { table : string; where : cond option }
+  | Delete_in of { table : string; columns : string list; query : query }
+      (** [DELETE FROM t WHERE (c1, ..., cn) IN (SELECT ...)]: remove every
+          row of [t] the subquery yields. [columns] must be [t]'s columns in
+          schema order and the subquery's columns must match them in arity
+          and type, so each result row is a whole candidate row of [t];
+          rows absent from [t] are ignored *)
   | Update of {
       table : string;
       sets : (string * scalar) list;
@@ -111,8 +118,8 @@ type stmt =
           for one table, or for every catalog table when none is named *)
 
 val tables_of_stmt : stmt -> string list
-(** Lowercased, sorted, duplicate-free table names a SELECT or
-    INSERT ... SELECT reads from (FROM clauses, including NOT EXISTS
+(** Lowercased, sorted, duplicate-free table names a SELECT,
+    INSERT ... SELECT or DELETE ... IN (SELECT ...) subquery reads from (FROM clauses, including NOT EXISTS
     subqueries); [[]] for every other statement. Used for the plan
     cache's cardinality-bucketed keys. *)
 

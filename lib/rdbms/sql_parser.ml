@@ -290,6 +290,26 @@ let parse_values_rows st =
   in
   rows ()
 
+(* The [(c1, ..., cn) IN] head of a row-membership DELETE, told apart
+   from a parenthesized condition by looking ahead to the IN; consumed
+   only when it matches. *)
+let row_columns st =
+  let rec cols acc = function
+    | (Sql_lexer.IDENT c, _) :: (Sql_lexer.COMMA, _) :: rest -> cols (c :: acc) rest
+    | (Sql_lexer.IDENT c, _) :: (Sql_lexer.RPAREN, _) :: (Sql_lexer.IDENT kw, _) :: rest
+      when String.uppercase_ascii kw = "IN" ->
+        Some (List.rev (c :: acc), rest)
+    | _ -> None
+  in
+  match st.toks with
+  | (Sql_lexer.LPAREN, _) :: rest -> (
+      match cols [] rest with
+      | Some (columns, rest) ->
+          st.toks <- rest;
+          Some columns
+      | None -> None)
+  | _ -> None
+
 (* BEGIN/COMMIT/ROLLBACK accept an optional TRANSACTION or WORK noise word. *)
 let eat_txn_noise st = ignore (eat_kw st "TRANSACTION" || eat_kw st "WORK")
 
@@ -378,8 +398,15 @@ let parse_stmt st =
   else if eat_kw st "DELETE" then begin
     expect_kw st "FROM";
     let table = ident st in
-    let where = if eat_kw st "WHERE" then Some (parse_cond st) else None in
-    Delete { table; where }
+    if eat_kw st "WHERE" then
+      match row_columns st with
+      | Some columns ->
+          expect st Sql_lexer.LPAREN "expected ( before the IN subquery";
+          let query = parse_query_expr st in
+          expect st Sql_lexer.RPAREN "expected ) after the IN subquery";
+          Delete_in { table; columns; query }
+      | None -> Delete { table; where = Some (parse_cond st) }
+    else Delete { table; where = None }
   end
   else if is_kw st "SELECT" || fst (peek st) = Sql_lexer.LPAREN then begin
     let query = parse_query_expr st in

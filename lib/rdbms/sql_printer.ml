@@ -95,6 +95,8 @@ let stmt = function
       match where with
       | Some c -> Printf.sprintf "DELETE FROM %s WHERE %s" table (cond c)
       | None -> "DELETE FROM " ^ table)
+  | Delete_in { table; columns; query = q } ->
+      Printf.sprintf "DELETE FROM %s WHERE (%s) IN (%s)" table (String.concat ", " columns) (query q)
   | Update { table; sets; where } ->
       Printf.sprintf "UPDATE %s SET %s%s" table
         (String.concat ", " (List.map (fun (c, e) -> c ^ " = " ^ scalar e) sets))

@@ -147,6 +147,13 @@ let reset t =
   t.size <- 0;
   t.fill <- 0
 
+let map_values t f =
+  for i = 0 to Array.length t.keys - 1 do
+    let k = Array.unsafe_get t.keys i in
+    if k != empty_slot && k != tomb_slot then
+      Array.unsafe_set t.vals i (f (Array.unsafe_get t.vals i))
+  done
+
 (* Set view: membership-only use, as the compiled executor's dedup sets. *)
 let add t key = insert_if_absent t key 0
 

@@ -26,6 +26,9 @@ val remove : t -> Tuple.t -> int
 
 val reset : t -> unit
 
+val map_values : t -> (int -> int) -> unit
+(** Rebinds every live key to [f] of its value, in place (no rehashing). *)
+
 val copy : t -> t
 (** An independent table holding the same bindings (O(capacity) array
     copies, no rehashing). *)

@@ -108,6 +108,39 @@ let test_index_tracks_changes () =
   R.clear r;
   Alcotest.(check int) "after clear" 0 (I.lookup_count idx (V.Int 1))
 
+(* Delete/insert churn over a small live set: the row slots are reused
+   once most are tombstones, so memory follows the live rows, while scan
+   order, the tuple table and both kinds of index stay exact. *)
+let test_churn_stays_bounded () =
+  let r = R.create schema2 in
+  let idx = I.create ~name:"i_a" r ~column:"a" in
+  let ord = Rdbms.Ordered_index.create ~name:"o_a" r ~column:"a" in
+  let live = Queue.create () in
+  let add i =
+    ignore (R.insert r (row i (string_of_int (i mod 7))));
+    Queue.push i live
+  in
+  for i = 0 to 99 do add i done;
+  for i = 100 to 20_099 do
+    let j = Queue.pop live in
+    ignore (R.delete r (row j (string_of_int (j mod 7))));
+    add i
+  done;
+  Alcotest.(check int) "cardinal" 100 (R.cardinal r);
+  Alcotest.(check (list string)) "audit clean" [] (R.check r);
+  Alcotest.(check (list int)) "scan keeps insertion order" (List.init 100 (fun k -> 20_000 + k))
+    (List.map (fun row -> match row.(0) with V.Int i -> i | _ -> -1) (R.to_list r));
+  List.iter
+    (fun i ->
+      let want = if i >= 20_000 then 1 else 0 in
+      Alcotest.(check int) (Printf.sprintf "hash index on %d" i) want
+        (List.length (I.lookup idx (V.Int i)));
+      Alcotest.(check int) (Printf.sprintf "ordered index on %d" i) want
+        (List.length (Rdbms.Ordered_index.lookup ord (V.Int i))))
+    [ 5; 19_999; 20_000; 20_050; 20_099 ];
+  let words = Obj.reachable_words (Obj.repr r) in
+  Alcotest.(check bool) (Printf.sprintf "%d words reachable (< 10000)" words) true (words < 10_000)
+
 let test_index_bad_column () =
   let r = R.create schema2 in
   Alcotest.(check bool) "raises" true
@@ -195,6 +228,7 @@ let () =
         [
           Alcotest.test_case "lookup" `Quick test_index_lookup;
           Alcotest.test_case "tracks changes" `Quick test_index_tracks_changes;
+          Alcotest.test_case "churn stays bounded" `Quick test_churn_stays_bounded;
           Alcotest.test_case "bad column" `Quick test_index_bad_column;
         ] );
       ( "catalog",

@@ -124,6 +124,24 @@ let test_delete () =
   | Delete { table = "t"; where = Some (Or _) } -> ()
   | _ -> Alcotest.fail "wrong"
 
+(* The row-membership form is told apart from a parenthesized condition
+   by the IN after the column list, and prints back to the same text. *)
+let test_delete_in () =
+  let text = "DELETE FROM mat__tc WHERE (c1, c2) IN (SELECT * FROM odel__tc)" in
+  (match parse_ok text with
+  | Delete_in { table = "mat__tc"; columns = [ "c1"; "c2" ]; query = Q_select _ } as st ->
+      Alcotest.(check string) "prints back" text (Pr.stmt st)
+  | _ -> Alcotest.fail "row-membership delete");
+  (match parse_ok "DELETE FROM t WHERE (a) IN ((SELECT x FROM u) EXCEPT (SELECT y FROM v))" with
+  | Delete_in { columns = [ "a" ]; query = Q_except _; _ } -> ()
+  | _ -> Alcotest.fail "one column, set-operation subquery");
+  (match parse_ok "DELETE FROM t WHERE (a = 1 OR b = 2) AND c = 3" with
+  | Delete { where = Some (And (Or _, Cmp _)); _ } -> ()
+  | _ -> Alcotest.fail "parenthesized condition stays a condition");
+  parse_fails "DELETE FROM t WHERE (a, b) IN SELECT * FROM u";
+  parse_fails "DELETE FROM t WHERE (a, b) IN (SELECT * FROM u) AND c = 1";
+  parse_fails "DELETE FROM t WHERE (a, 1) IN (SELECT * FROM u)"
+
 let test_update_stmt () =
   match parse_ok "UPDATE t SET a = 1, b = c WHERE a > 0" with
   | Update { table = "t"; sets = [ ("a", Lit (L_int 1)); ("b", Col _) ]; where = Some _ } -> ()
@@ -264,6 +282,11 @@ let gen_stmt =
       map2 (fun table q -> Insert_select { table; query = q }) gen_ident (gen_query 1);
       map2 (fun table where -> Delete { table; where }) gen_ident (option (gen_cond 1));
       map3
+        (fun table columns q -> Delete_in { table; columns; query = q })
+        gen_ident
+        (list_size (int_range 1 3) gen_ident)
+        (gen_query 1);
+      map3
         (fun table sets where -> Update { table; sets; where })
         gen_ident
         (list_size (int_range 1 3) (pair gen_ident gen_scalar))
@@ -305,6 +328,7 @@ let () =
           Alcotest.test_case "order by" `Quick test_order_by;
           Alcotest.test_case "not exists" `Quick test_not_exists;
           Alcotest.test_case "delete" `Quick test_delete;
+          Alcotest.test_case "delete in" `Quick test_delete_in;
           Alcotest.test_case "index ddl" `Quick test_index_ddl;
           Alcotest.test_case "update" `Quick test_update_stmt;
           Alcotest.test_case "parse_many" `Quick test_parse_many;
