@@ -27,17 +27,19 @@ let help_text =
   .index name(col) [ordered]     build a hash (or ordered/range) index
   .options [magic off|on|sup|auto] [strategy naive|semi] [indexderived on|off]
            [joinorder syntactic|greedy|costed]
-           [maintenance off|counting|dred|auto] [sanitize on|off]
+           [maintenance off|auto] [sanitize on|off]
                                  set query-processing options (sanitize audits
                                  engine invariants after every SQL statement)
   .cache on|off                  toggle the precompiled-query cache
-  .materialize pred              materialize a stored predicate as an
-                                 incrementally maintained view
+  .materialize pred              materialize a stored predicate as a view
+                                 maintained by DRed (auto) or recomputed
+                                 after each update (off)
   .views                         list materialized views and their strategies
   .insert fact(..) | .delete fact(..)
                                  change a base fact, maintaining the views
-  .check                         lint the rule base (workspace + stored) and
-                                 audit the engine's internal invariants
+  .check                         lint the rule base (workspace + stored),
+                                 audit the engine's internal invariants and
+                                 compare each view with a from-scratch LFP
   .explain goal(..)              show the compiled program without running it
   .emitc goal(..)                show the generated embedded-SQL/C program
   .store [nocompiled]            persist workspace rules into the Stored D/KB

@@ -1,10 +1,10 @@
-(* Incremental view maintenance over the semi-naive runtime: counting
-   for non-recursive predicates, DRed (delete-rederive) for recursive
-   cliques. Derived predicates are kept materialized in [mat__p] tables,
-   with per-tuple derivation counts in [matcnt__p] for counting nodes;
-   fact INSERT / DELETE traffic is propagated through delta rules that
-   reuse {!Runtime}'s scratch-table and prepared-statement machinery
-   instead of re-running the LFP from scratch. *)
+(* Incremental view maintenance over the semi-naive runtime by DRed
+   (delete-rederive). Derived predicates are kept materialized in
+   [mat__p] tables; fact INSERT / DELETE traffic is propagated through
+   delta rules that reuse {!Runtime}'s scratch-table and
+   prepared-statement machinery instead of re-running the LFP from
+   scratch. A non-recursive predicate is maintained as a clique of one
+   member with no recursive rules. *)
 
 module Ast = Datalog.Ast
 module Names = Datalog.Names
@@ -14,35 +14,26 @@ module Timer = Dkb_util.Timer
 
 type mode =
   | Off
-  | Counting
-  | Dred
   | Auto
 
 let mode_to_string = function
   | Off -> "off"
-  | Counting -> "counting"
-  | Dred -> "dred"
   | Auto -> "auto"
 
 let mode_of_string = function
   | "off" -> Some Off
-  | "counting" -> Some Counting
-  | "dred" -> Some Dred
   | "auto" -> Some Auto
   | _ -> None
 
 type strategy =
-  | S_counting
   | S_dred
   | S_recompute
 
 let strategy_to_string = function
-  | S_counting -> "counting"
   | S_dred -> "dred"
   | S_recompute -> "recompute"
 
 let strategy_of_string = function
-  | "counting" -> Some S_counting
   | "dred" -> Some S_dred
   | "recompute" -> Some S_recompute
   | _ -> None
@@ -56,24 +47,21 @@ let maint_err fmt = Printf.ksprintf (fun s -> raise (Maint_error s)) fmt
    (2^k - 1 delta rules per rule) stops being worth it: fall back. *)
 let max_changed_occurrences = 6
 
-type pnode =
-  | P_pred of {
-      pred : string;
-      rules : Ast.clause list;
-      facts : Ast.clause list;
-      strat : strategy;
-    }
-  | P_clique of {
-      label : string;
-      members : string list;
-      facts : (string * Ast.clause list) list;
-      exit_rules : (string * Ast.clause) list;
-      rec_rules : (string * Ast.clause) list;
-      strat : strategy;
-    }
+(* A node of the evaluation order: a clique of mutually recursive
+   predicates, or a non-recursive predicate as a clique of one member
+   with no recursive rules. *)
+type node = {
+  label : string;
+  members : string list;
+  facts : (string * Ast.clause list) list;
+  exit_rules : (string * Ast.clause) list;
+  rec_rules : (string * Ast.clause) list;
+  deps : string list;  (* the body predicates of its rules *)
+  strat : strategy;
+}
 
 type plan = {
-  nodes : pnode list;  (* dependency (evaluation) order *)
+  nodes : node list;  (* dependency (evaluation) order *)
   derived : (string * Rdbms.Datatype.t list) list;
   bases : (string * (string * Rdbms.Datatype.t) list) list;
   is_base : string -> bool;
@@ -137,11 +125,6 @@ let insert_rows_chunked t name rows =
   in
   go rows
 
-let bump counts row d =
-  match Hashtbl.find_opt counts row with
-  | Some r -> r := !r + d
-  | None -> Hashtbl.add counts row (ref d)
-
 (* ------------------------------------------------------------------ *)
 (* Plan building *)
 
@@ -151,10 +134,9 @@ let has_negation rules =
       List.exists (function Ast.Neg _ -> true | Ast.Pos _ | Ast.Cmp _ -> false) c.Ast.body)
     rules
 
-let build_plan t =
+let build_plan t registry =
   let stored = t.stored in
   let catalog = Engine.catalog t.engine in
-  let registry = Stored_dkb.matviews stored in
   let reg_preds = List.map fst registry in
   let clauses = Stored_dkb.rules_with_head stored reg_preds in
   (* decided once per plan (a plan is rebuilt whenever the rule base or
@@ -214,62 +196,42 @@ let build_plan t =
       | Some s -> ( match strategy_of_string s with Some s -> s | None -> S_recompute)
       | None -> S_recompute
   in
+  let own m = List.filter (fun c -> String.equal (Ast.head_pred c) m) in
+  let node members ~exit_rules ~rec_rules =
+    let facts, exit_rules = List.partition Ast.is_fact exit_rules in
+    let heads = List.map (fun r -> (Ast.head_pred r, r)) in
+    let rules = exit_rules @ rec_rules in
+    {
+      label = String.concat "+" members;
+      members;
+      facts = List.map (fun m -> (m, own m facts)) members;
+      exit_rules = heads exit_rules;
+      rec_rules = heads rec_rules;
+      deps =
+        List.sort_uniq String.compare
+          (List.concat_map (fun c -> List.map fst (Ast.body_preds c)) rules);
+      strat = strat_of members rules;
+    }
+  in
   let nodes =
     List.map
       (function
         | Datalog.Evalgraph.N_pred p ->
-            let own = List.filter (fun c -> String.equal (Ast.head_pred c) p) clauses in
-            let facts, rules = List.partition Ast.is_fact own in
-            let strat = strat_of [ p ] rules in
-            if strat = S_dred then
-              (* non-recursive predicate maintained DRed-style: a clique
-                 of one member with no recursive rules *)
-              P_clique
-                {
-                  label = p;
-                  members = [ p ];
-                  facts = [ (p, facts) ];
-                  exit_rules = List.map (fun r -> (p, r)) rules;
-                  rec_rules = [];
-                  strat;
-                }
-            else P_pred { pred = p; rules; facts; strat }
+            node [ p ] ~exit_rules:(own p clauses) ~rec_rules:[]
         | Datalog.Evalgraph.N_clique cl ->
-            let members = cl.Datalog.Clique.preds in
-            let exit_facts, exit_rules =
-              List.partition Ast.is_fact cl.Datalog.Clique.exit_rules
-            in
-            let facts =
-              List.map
-                (fun m ->
-                  (m, List.filter (fun c -> String.equal (Ast.head_pred c) m) exit_facts))
-                members
-            in
-            let strat =
-              match strat_of members (exit_rules @ cl.Datalog.Clique.recursive_rules) with
-              | S_counting -> S_recompute  (* counting cannot maintain recursion *)
-              | s -> s
-            in
-            P_clique
-              {
-                label = String.concat "+" members;
-                members;
-                facts;
-                exit_rules = List.map (fun r -> (Ast.head_pred r, r)) exit_rules;
-                rec_rules =
-                  List.map (fun r -> (Ast.head_pred r, r)) cl.Datalog.Clique.recursive_rules;
-                strat;
-              })
+            node cl.Datalog.Clique.preds ~exit_rules:cl.Datalog.Clique.exit_rules
+              ~rec_rules:cl.Datalog.Clique.recursive_rules)
       order
   in
   { nodes; derived; bases; is_base; columns }
 
-let get_plan t =
-  let key = (Stored_dkb.rule_count t.stored, Stored_dkb.matviews t.stored) in
+(* The plan for the current rule base and the [registry] just read. *)
+let get_plan t registry =
+  let key = (Stored_dkb.rule_count t.stored, registry) in
   match t.plan with
   | Some p when t.plan_key = Some key -> p
   | _ ->
-      let p = build_plan t in
+      let p = build_plan t registry in
       t.plan <- Some p;
       t.plan_key <- Some key;
       p
@@ -312,7 +274,7 @@ let sip_order body ~lead =
    positive occurrence unless [override] substitutes another table for
    that body position (delta or over-delete tables). With [lead], the
    body is joined in {!sip_order} from those positions. *)
-let rule_select plan ?(distinct = true) ?lead ?(override = fun _ -> None) clause =
+let rule_select plan ?lead ?(override = fun _ -> None) clause =
   let body = Array.of_list clause.Ast.body in
   let order =
     match lead with
@@ -329,19 +291,16 @@ let rule_select plan ?(distinct = true) ?lead ?(override = fun _ -> None) clause
   in
   let clause = { clause with Ast.body = Array.to_list (Array.map (Array.get body) order) } in
   Rdbms.Sql_printer.query
-    (Datalog.Sqlgen.select_for_rule ~columns:plan.columns ~table_of ~distinct clause)
-
-let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1)
+    (Datalog.Sqlgen.select_for_rule ~columns:plan.columns ~table_of clause)
 
 (* The delta-rule variants of one rule for a set of changed predicates:
    one SELECT per nonempty subset S of the changed body occurrences,
    occurrences in S reading [delta_of pred] and every other occurrence
    its current table. With the deltas applied to the current state first,
-   the deletion-phase variants partition the removed derivations exactly
-   (deltas disjoint from the new state) and the insertion-phase variants
-   enumerate the added ones with inclusion-exclusion signs. Returns
-   [(sql, |S|)] pairs. *)
-let subset_variants plan ?(distinct = true) ~changed ~delta_of clause =
+   the deletion-phase variants cover every removed derivation (deltas
+   disjoint from the new state) and the insertion-phase variants every
+   added one. *)
+let subset_variants plan ~changed ~delta_of clause =
   let body = Array.of_list clause.Ast.body in
   let positions =
     List.filter_map
@@ -372,7 +331,7 @@ let subset_variants plan ?(distinct = true) ~changed ~delta_of clause =
             in_subset 0
           in
           let lead j = override j <> None in
-          (rule_select plan ~distinct ~lead ~override clause, popcount mask))
+          rule_select plan ~lead ~override clause)
         (List.init ((1 lsl k) - 1) (fun m -> m + 1))
 
 (* Body positions of a rule's clique-member occurrences. *)
@@ -432,22 +391,18 @@ let create_table_sql name cols =
     (String.concat ", "
        (List.map (fun (c, ty) -> c ^ " " ^ Rdbms.Datatype.to_string ty) cols))
 
-let recreate t ?(index = false) name cols =
+let recreate t name cols =
   exec t ("DROP TABLE IF EXISTS " ^ name);
-  exec t (create_table_sql name cols);
-  if index then
-    exec t
-      (Printf.sprintf "CREATE INDEX idx__%s__%s ON %s (%s)" name (fst (List.hd cols)) name
-         (fst (List.hd cols)))
+  exec t (create_table_sql name cols)
 
 let derived_cols plan p =
   match List.assoc_opt p plan.derived with
   | Some tys -> List.mapi (fun i ty -> (Printf.sprintf "c%d" (i + 1), ty)) tys
   | None -> maint_err "maintenance: no inferred types for %s" p
 
-(* The lead sets a maintained rule runs under: counting variants and DRed
-   seeds read deltas at a subset of the positive occurrences, propagation
-   at one member occurrence. Every nonempty subset covers both (only the
+(* The lead sets a maintained rule runs under: DRed seeds read deltas at a
+   subset of the positive occurrences, propagation at one member
+   occurrence. Every nonempty subset covers both (only the
    singletons past [max_changed_occurrences], where maintenance falls
    back). *)
 let lead_sets body =
@@ -504,134 +459,88 @@ let index_join_columns t plan ?leads ?(override = fun _ -> None) clause =
       ignore (List.fold_left (probe leads) [] (sip_order body ~lead:(fun i -> List.mem i leads))))
     (match leads with Some l -> l | None -> lead_sets body)
 
-(* Drop and recreate the maintenance tables of [nodes]: the [mat__p]
-   materializations (hash-indexed on c1, which the counting nodes'
-   per-tuple deletes probe), [matcnt__p] for counting nodes, the
-   per-update [insd__]/[deld__] delta tables of each derived predicate and
-   of each of [bases], and the DRed / semi-naive scratch tables for
-   cliques; then index the base and [mat__] columns the delta joins of
-   the plan probe, and the guard tables of its rederivations. A column
-   already indexed (by an earlier call, or restored from a checkpoint) is
-   skipped, so only the tables just created, and the upstream columns
-   the new nodes probe, gain indexes. *)
+(* Drop and recreate the maintenance tables of [nodes]: per member the
+   [mat__p] materialization, the per-update [insd__]/[deld__] delta
+   tables, the over-deleted set [odel__p] and the semi-naive scratch
+   tables of [mat__p] (and, in a recursive clique, of [odel__p]); the
+   delta tables of each of [bases]; then index the base and [mat__]
+   columns the delta joins of the plan probe, and the guard tables of its
+   rederivations. A column already indexed (by an earlier call, or
+   restored from a checkpoint) is skipped, so only the tables just
+   created, and the upstream columns the new nodes probe, gain
+   indexes. *)
 let ensure_tables t plan ~nodes ~bases =
   Engine.suspend_logging t.engine @@ fun () ->
-  let scratch_of tbl cols =
-    List.iter (fun s -> recreate t s cols) [ Names.delta tbl; Names.new_delta tbl ]
-  in
+  let recreate_all tbls cols = List.iter (fun tbl -> recreate t tbl cols) tbls in
+  let scratch_of tbl = [ Names.delta tbl; Names.new_delta tbl ] in
   List.iter
     (fun node ->
-      let per_derived ?(clique = false) ?(counting = false) p =
-        let cols = derived_cols plan p in
-        recreate t ~index:true (Names.mat p) cols;
-        recreate t (Names.ins_delta p) cols;
-        recreate t (Names.del_delta p) cols;
-        if counting then
-          recreate t ~index:true (Names.cnt p) (cols @ [ ("dcount", Rdbms.Datatype.TInt) ]);
-        if clique then begin
-          recreate t (Names.overdel p) cols;
-          scratch_of (Names.mat p) cols;
-          scratch_of (Names.overdel p) cols
-        end
-      in
-      match node with
-      | P_pred { pred; strat; _ } -> per_derived ~counting:(strat = S_counting) pred
-      | P_clique { members; _ } -> List.iter (fun m -> per_derived ~clique:true m) members)
+      List.iter
+        (fun m ->
+          recreate_all
+            ([ Names.mat m; Names.ins_delta m; Names.del_delta m; Names.overdel m ]
+            @ scratch_of (Names.mat m)
+            @ if node.rec_rules <> [] then scratch_of (Names.overdel m) else [])
+            (derived_cols plan m))
+        node.members)
     nodes;
+  List.iter (fun (b, cols) -> recreate_all [ Names.ins_delta b; Names.del_delta b ] cols) bases;
   List.iter
-    (fun (b, cols) ->
-      recreate t (Names.ins_delta b) cols;
-      recreate t (Names.del_delta b) cols)
-    bases;
-  List.iter
-    (function
-      | P_pred { rules; strat = S_counting; _ } -> List.iter (index_join_columns t plan) rules
-      | P_clique { members; exit_rules; rec_rules; strat = S_dred; _ } ->
-          List.iter
-            (fun (head, r) ->
-              index_join_columns t plan r;
-              (* the guard leads the first rederivation pass, a member
-                 occurrence each guarded delta variant *)
-              let guarded, g = guarded_rule head r in
-              index_join_columns t plan
-                ~leads:([ g ] :: List.map (fun i -> [ i ]) (member_positions members r))
-                ~override:(fun j -> if j = g then Some (Names.overdel head) else None)
-                guarded)
-            (exit_rules @ rec_rules)
-      | P_pred _ | P_clique _ -> ())
+    (fun node ->
+      if node.strat = S_dred then
+        List.iter
+          (fun (head, r) ->
+            index_join_columns t plan r;
+            (* the guard leads the first rederivation pass, a member
+               occurrence each guarded delta variant *)
+            let guarded, g = guarded_rule head r in
+            index_join_columns t plan
+              ~leads:([ g ] :: List.map (fun i -> [ i ]) (member_positions node.members r))
+              ~override:(fun j -> if j = g then Some (Names.overdel head) else None)
+              guarded)
+          (node.exit_rules @ node.rec_rules))
     plan.nodes
 
 (* ------------------------------------------------------------------ *)
 (* Full (re)evaluation of the materializations *)
 
-let fact_row f =
-  Array.of_list
-    (List.map (function Ast.Const v -> v | Ast.Var _ -> assert false) f.Ast.head.Ast.args)
-
 let clear t name = Engine.clear_table t.engine name
 
-(* Evaluate one node from scratch into its (already truncated) tables. *)
-let eval_node t plan = function
-  | P_pred { pred = p; rules; facts; strat } ->
-      if strat = S_counting then begin
-        (* bag evaluation: one row per derivation, folded into counts *)
-        let counts = Hashtbl.create 256 in
-        List.iter (fun f -> bump counts (fact_row f) 1) facts;
-        List.iter
-          (fun r -> List.iter (fun row -> bump counts row 1) (q t (rule_select plan ~distinct:false r)))
-          rules;
-        let rows = Hashtbl.fold (fun row c acc -> (row, !c) :: acc) counts [] in
-        insert_rows_chunked t (Names.mat p) (List.map fst rows);
-        insert_rows_chunked t (Names.cnt p)
-          (List.map (fun (row, c) -> Array.append row [| Value.Int c |]) rows)
-      end
-      else begin
-        List.iter
-          (fun f -> exec t ("INSERT INTO " ^ Names.mat p ^ " " ^ Datalog.Sqlgen.fact_values f))
-          facts;
-        List.iter
-          (fun r -> exec t (Printf.sprintf "INSERT INTO %s %s" (Names.mat p) (rule_select plan r)))
-          rules
-      end
-  | P_clique { label; members; facts; exit_rules; rec_rules; strat = _ } ->
+(* Evaluate one node from scratch into its (already truncated) tables:
+   facts and exit rules, then, in a recursive clique, the semi-naive loop
+   seeded with everything so far. *)
+let eval_node t plan { label; members; facts; exit_rules; rec_rules; _ } =
+  List.iter
+    (fun (m, fs) ->
       List.iter
-        (fun (m, fs) ->
-          List.iter
-            (fun f -> exec t ("INSERT INTO " ^ Names.mat m ^ " " ^ Datalog.Sqlgen.fact_values f))
-            fs)
-        facts;
-      List.iter
-        (fun (m, r) -> exec t (Printf.sprintf "INSERT INTO %s %s" (Names.mat m) (rule_select plan r)))
-        exit_rules;
-      List.iter
-        (fun m ->
-          let mt = Names.mat m in
-          clear t (Names.delta mt);
-          clear t (Names.new_delta mt);
-          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.delta mt) mt))
-        members;
-      if rec_rules <> [] then begin
-        let rules =
-          clique_delta_rules plan ~members ~target:Names.mat
-            ~delta_table:(fun m -> Names.delta (Names.mat m))
-            ~member_table:Names.mat rec_rules
-        in
-        ignore
-          (Runtime.resume_seminaive t.engine ~label:("maint:" ^ label)
-             ~members:(List.map Names.mat members) ~rules ())
-      end
-
-let truncate_node_tables t = function
-  | P_pred { pred; strat; _ } ->
-      clear t (Names.mat pred);
-      if strat = S_counting then clear t (Names.cnt pred)
-  | P_clique { members; _ } -> List.iter (fun m -> clear t (Names.mat m)) members
+        (fun f -> exec t ("INSERT INTO " ^ Names.mat m ^ " " ^ Datalog.Sqlgen.fact_values f))
+        fs)
+    facts;
+  List.iter
+    (fun (m, r) -> exec t (Printf.sprintf "INSERT INTO %s %s" (Names.mat m) (rule_select plan r)))
+    exit_rules;
+  if rec_rules <> [] then begin
+    List.iter
+      (fun m ->
+        let mt = Names.mat m in
+        clear t (Names.delta mt);
+        exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.delta mt) mt))
+      members;
+    let rules =
+      clique_delta_rules plan ~members ~target:Names.mat
+        ~delta_table:(fun m -> Names.delta (Names.mat m))
+        ~member_table:Names.mat rec_rules
+    in
+    ignore
+      (Runtime.resume_seminaive t.engine ~label:("maint:" ^ label)
+         ~members:(List.map Names.mat members) ~rules ())
+  end
 
 (* Truncate the materializations of [nodes] (in plan order) and
    re-evaluate them over the current state of everything upstream. *)
 let refresh_nodes t plan nodes =
   Engine.suspend_logging t.engine @@ fun () ->
-  List.iter (truncate_node_tables t) nodes;
+  List.iter (fun node -> List.iter (fun m -> clear t (Names.mat m)) node.members) nodes;
   List.iter (eval_node t plan) nodes
 
 (* The whole plan — the fallback path and the recovery/initialization
@@ -640,51 +549,6 @@ let refresh_plan t plan = refresh_nodes t plan plan.nodes
 
 (* ------------------------------------------------------------------ *)
 (* Per-node maintenance: deletion phase *)
-
-(* Counting node, deletions. The base/upstream deletions are already
-   applied, so the delta tables are disjoint from the current state and
-   the subset variants partition the removed derivations exactly: every
-   variant row decrements its tuple's derivation count by one. Tuples
-   whose count reaches zero leave the view and feed [deld__p]. *)
-let counting_del t plan ~del_changed ~chg p rules =
-  let changed q' = Hashtbl.mem del_changed q' in
-  let counts = Hashtbl.create 32 in
-  List.iter
-    (fun rule ->
-      List.iter
-        (fun (sql, _) -> List.iter (fun row -> bump counts row 1) (q t sql))
-        (subset_variants plan ~distinct:false ~changed ~delta_of:Names.del_delta rule))
-    rules;
-  if Hashtbl.length counts > 0 then begin
-    let cols = plan.columns p in
-    let deleted = ref 0 in
-    Hashtbl.iter
-      (fun row d ->
-        let where = row_where cols row in
-        let cur =
-          match q t (Printf.sprintf "SELECT dcount FROM %s WHERE %s" (Names.cnt p) where) with
-          | [ [| Value.Int n |] ] -> n
-          | _ -> raise (Fallback "derivation count missing")
-        in
-        let n' = cur - !d in
-        if n' < 0 then raise (Fallback "negative derivation count");
-        exec t (Printf.sprintf "DELETE FROM %s WHERE %s" (Names.cnt p) where);
-        if n' = 0 then begin
-          exec t (Printf.sprintf "DELETE FROM %s WHERE %s" (Names.mat p) where);
-          exec t (Printf.sprintf "INSERT INTO %s VALUES %s" (Names.del_delta p) (row_values row));
-          incr deleted
-        end
-        else
-          exec t
-            (Printf.sprintf "INSERT INTO %s VALUES %s" (Names.cnt p)
-               (row_values (Array.append row [| Value.Int n' |]))))
-      counts;
-    if !deleted > 0 then begin
-      Hashtbl.replace del_changed p ();
-      let _, del_r = chg p in
-      del_r := !del_r + !deleted
-    end
-  end
 
 (* The semi-naive member step, by hand, for a clique whose [cand__]
    tables [seed] fills: each member's delta becomes [cand EXCEPT mat],
@@ -717,38 +581,34 @@ let seed_members t ?sink members seed =
       | _ -> any)
     false members
 
-(* DRed clique, deletions: over-delete everything a deleted tuple could
-   have supported, rederive the survivors from what remains, and emit the
-   true deletions. *)
-let dred_del t plan ~del_changed ~chg ~rederived ~label ~members ~exit_rules ~rec_rules =
+(* Deletions: over-delete everything a deleted tuple could have
+   supported, rederive the survivors from what remains, and emit the true
+   deletions. *)
+let dred_del t plan ~del_changed ~chg ~rederived { label; members; exit_rules; rec_rules; _ } =
   let upstream_changed q' = Hashtbl.mem del_changed q' && not (List.mem q' members) in
-  List.iter
-    (fun m ->
-      let od = Names.overdel m in
-      clear t od;
-      clear t (Names.delta od);
-      clear t (Names.new_delta od))
-    members;
+  List.iter (fun m -> clear t (Names.overdel m)) members;
   (* seed: derivations that used at least one deleted upstream tuple;
      clique-member occurrences read the (still old) materialization *)
   let seeded = ref false in
   List.iter
     (fun (head, rule) ->
       List.iter
-        (fun (sql, _) ->
+        (fun sql ->
           match Engine.exec t.engine ("INSERT INTO " ^ Names.overdel head ^ " " ^ sql) with
           | Engine.Affected n when n > 0 -> seeded := true
           | _ -> ())
         (subset_variants plan ~changed:upstream_changed ~delta_of:Names.del_delta rule))
     (exit_rules @ rec_rules);
   if !seeded then begin
-    (* propagate over-deletion through the recursive rules *)
-    List.iter
-      (fun m ->
-        let od = Names.overdel m in
-        exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.delta od) od))
-      members;
+    (* propagate over-deletion through the recursive rules (the loop
+       truncates the candidate tables itself) *)
     if rec_rules <> [] then begin
+      List.iter
+        (fun m ->
+          let od = Names.overdel m in
+          clear t (Names.delta od);
+          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.delta od) od))
+        members;
       let rules =
         clique_delta_rules plan ~members ~target:Names.overdel
           ~delta_table:(fun m -> Names.delta (Names.overdel m))
@@ -815,62 +675,17 @@ let dred_del t plan ~del_changed ~chg ~rederived ~label ~members ~exit_rules ~re
 (* ------------------------------------------------------------------ *)
 (* Per-node maintenance: insertion phase *)
 
-(* Counting node, insertions. The insertions are already applied, so the
-   deltas are subsets of the current state: inclusion-exclusion over the
-   subset variants gives the exact number of new derivations per tuple. *)
-let counting_ins t plan ~ins_changed ~chg p rules =
-  let changed q' = Hashtbl.mem ins_changed q' in
-  let counts = Hashtbl.create 32 in
-  List.iter
-    (fun rule ->
-      List.iter
-        (fun (sql, size) ->
-          let sign = if size land 1 = 1 then 1 else -1 in
-          List.iter (fun row -> bump counts row sign) (q t sql))
-        (subset_variants plan ~distinct:false ~changed ~delta_of:Names.ins_delta rule))
-    rules;
-  if Hashtbl.length counts > 0 then begin
-    let cols = plan.columns p in
-    let inserted = ref 0 in
-    Hashtbl.iter
-      (fun row d ->
-        if !d < 0 then raise (Fallback "negative insertion count");
-        if !d > 0 then begin
-          let where = row_where cols row in
-          match q t (Printf.sprintf "SELECT dcount FROM %s WHERE %s" (Names.cnt p) where) with
-          | [ [| Value.Int n |] ] ->
-              exec t (Printf.sprintf "DELETE FROM %s WHERE %s" (Names.cnt p) where);
-              exec t
-                (Printf.sprintf "INSERT INTO %s VALUES %s" (Names.cnt p)
-                   (row_values (Array.append row [| Value.Int (n + !d) |])))
-          | [] ->
-              exec t
-                (Printf.sprintf "INSERT INTO %s VALUES %s" (Names.cnt p)
-                   (row_values (Array.append row [| Value.Int !d |])));
-              exec t (Printf.sprintf "INSERT INTO %s VALUES %s" (Names.mat p) (row_values row));
-              exec t (Printf.sprintf "INSERT INTO %s VALUES %s" (Names.ins_delta p) (row_values row));
-              incr inserted
-          | _ -> raise (Fallback "ambiguous derivation count")
-        end)
-      counts;
-    if !inserted > 0 then begin
-      Hashtbl.replace ins_changed p ();
-      let ins_r, _ = chg p in
-      ins_r := !ins_r + !inserted
-    end
-  end
-
-(* DRed clique, insertions: seed the new derivations that use at least
-   one inserted upstream tuple, then resume the semi-naive loop to
-   propagate them through the recursive rules, accumulating every
-   genuinely new tuple into [insd__m]. *)
-let dred_ins t plan ~ins_changed ~chg ~label ~members ~exit_rules ~rec_rules =
+(* Insertions: seed the new derivations that use at least one inserted
+   upstream tuple, then resume the semi-naive loop to propagate them
+   through the recursive rules, accumulating every genuinely new tuple
+   into [insd__m]. *)
+let dred_ins t plan ~ins_changed ~chg { label; members; exit_rules; rec_rules; _ } =
   let upstream_changed q' = Hashtbl.mem ins_changed q' && not (List.mem q' members) in
   let seed () =
     List.iter
       (fun (head, rule) ->
         List.iter
-          (fun (sql, _) -> exec t ("INSERT INTO " ^ Names.new_delta (Names.mat head) ^ " " ^ sql))
+          (fun sql -> exec t ("INSERT INTO " ^ Names.new_delta (Names.mat head) ^ " " ^ sql))
           (subset_variants plan ~changed:upstream_changed ~delta_of:Names.ins_delta rule))
       (exit_rules @ rec_rules)
   in
@@ -899,37 +714,9 @@ let dred_ins t plan ~ins_changed ~chg ~label ~members ~exit_rules ~rec_rules =
 (* ------------------------------------------------------------------ *)
 (* Applying a batch of base-fact changes *)
 
-let node_preds = function
-  | P_pred { pred; _ } -> [ pred ]
-  | P_clique { members; _ } -> members
-
-let node_strat = function P_pred { strat; _ } | P_clique { strat; _ } -> strat
-
-let node_dep_preds node =
-  let rules =
-    match node with
-    | P_pred { rules; _ } -> rules
-    | P_clique { exit_rules; rec_rules; _ } -> List.map snd (exit_rules @ rec_rules)
-  in
-  List.sort_uniq String.compare
-    (List.concat_map (fun c -> List.map fst (Ast.body_preds c)) rules)
-
-let process_node_del t plan ~del_changed ~chg ~rederived = function
-  | P_pred { pred; rules; strat = S_counting; _ } -> counting_del t plan ~del_changed ~chg pred rules
-  | P_clique { label; members; exit_rules; rec_rules; strat = S_dred; _ } ->
-      dred_del t plan ~del_changed ~chg ~rederived ~label ~members ~exit_rules ~rec_rules
-  | node ->
-      (* recompute nodes must not be reached on the maintained path *)
-      if List.exists (fun d -> Hashtbl.mem del_changed d) (node_dep_preds node) then
-        raise (Fallback "recompute-strategy node affected")
-
-let process_node_ins t plan ~ins_changed ~chg = function
-  | P_pred { pred; rules; strat = S_counting; _ } -> counting_ins t plan ~ins_changed ~chg pred rules
-  | P_clique { label; members; exit_rules; rec_rules; strat = S_dred; _ } ->
-      dred_ins t plan ~ins_changed ~chg ~label ~members ~exit_rules ~rec_rules
-  | node ->
-      if List.exists (fun d -> Hashtbl.mem ins_changed d) (node_dep_preds node) then
-        raise (Fallback "recompute-strategy node affected")
+(* A phase visits a node only when one of its body predicates changed in
+   that phase. *)
+let visit changed f node = if List.exists (Hashtbl.mem changed) node.deps then f node
 
 let apply t ~mode ~inserts ~deletes () =
   let t0 = Timer.now_ms () in
@@ -1019,7 +806,7 @@ let apply t ~mode ~inserts ~deletes () =
         finish base_report
       end
       else begin
-        let plan = get_plan t in
+        let plan = get_plan t registry in
         let changed_base = List.sort_uniq String.compare (List.map fst (eff_del @ eff_ins)) in
         (* potentially affected nodes, walking the plan in order *)
         let potential = Hashtbl.create 16 in
@@ -1027,14 +814,14 @@ let apply t ~mode ~inserts ~deletes () =
         let affected =
           List.filter
             (fun node ->
-              if List.exists (fun d -> Hashtbl.mem potential d) (node_dep_preds node) then begin
-                List.iter (fun p -> Hashtbl.replace potential p ()) (node_preds node);
+              if List.exists (Hashtbl.mem potential) node.deps then begin
+                List.iter (fun p -> Hashtbl.replace potential p ()) node.members;
                 true
               end
               else false)
             plan.nodes
         in
-        let strat_ok = List.for_all (fun n -> node_strat n <> S_recompute) affected in
+        let strat_ok = List.for_all (fun n -> n.strat = S_dred) affected in
         let total_delta = List.length eff_del + List.length eff_ins in
         let small_delta =
           total_delta = 0
@@ -1091,7 +878,9 @@ let apply t ~mode ~inserts ~deletes () =
                       (Printf.sprintf "INSERT INTO %s VALUES %s" (Names.del_delta p)
                          (row_values row)))
                   eff_del;
-                List.iter (process_node_del t plan ~del_changed ~chg ~rederived) affected);
+                List.iter
+                  (visit del_changed (dred_del t plan ~del_changed ~chg ~rederived))
+                  affected);
             (* insertion phase: apply base insertions (logged), then walk
                the affected nodes again *)
             apply_base_inserts ();
@@ -1104,7 +893,7 @@ let apply t ~mode ~inserts ~deletes () =
                       (Printf.sprintf "INSERT INTO %s VALUES %s" (Names.ins_delta p)
                          (row_values row)))
                   eff_ins;
-                List.iter (process_node_ins t plan ~ins_changed ~chg) affected);
+                List.iter (visit ins_changed (dred_ins t plan ~ins_changed ~chg)) affected);
             let changes =
               Hashtbl.fold (fun p (i, d) acc -> (p, !i, !d) :: acc) derived_changes []
               |> List.filter (fun (_, i, d) -> i > 0 || d > 0)
@@ -1171,14 +960,7 @@ let materialize t ~mode root =
           | Some cl -> Datalog.Clique.rules_of cl
           | None -> List.filter (fun c -> String.equal (Ast.head_pred c) p) clauses
         in
-        let recursive = clique_of p <> None in
-        if has_negation node_rules then S_recompute
-        else
-          match mode with
-          | Off -> S_recompute
-          | Counting -> if recursive then S_recompute else S_counting
-          | Dred -> S_dred
-          | Auto -> if recursive then S_dred else S_counting
+        if mode = Off || has_negation node_rules then S_recompute else S_dred
       in
       let assigned = List.map (fun p -> (p, strategy p)) derived in
       (* only the nodes whose registration this call adds or changes are
@@ -1197,9 +979,9 @@ let materialize t ~mode root =
       in
       if changed <> [] then begin
         invalidate t;
-        let plan = get_plan t in
+        let plan = get_plan t (registered t) in
         let nodes =
-          List.filter (fun n -> List.exists (fun p -> List.mem p changed) (node_preds n)) plan.nodes
+          List.filter (fun n -> List.exists (fun p -> List.mem p changed) n.members) plan.nodes
         in
         let catalog = Engine.catalog t.engine in
         let bases =
@@ -1219,7 +1001,7 @@ let materialize t ~mode root =
 
 let refresh t =
   try
-    if is_maintained t then refresh_plan t (get_plan t);
+    (match registered t with [] -> () | registry -> refresh_plan t (get_plan t registry));
     Ok ()
   with
   | Maint_error msg | Failure msg -> Error msg
@@ -1230,12 +1012,13 @@ let refresh t =
    recreate every maintenance table and re-evaluate. *)
 let ensure t =
   try
-    if is_maintained t then begin
-      invalidate t;
-      let plan = get_plan t in
-      ensure_tables t plan ~nodes:plan.nodes ~bases:plan.bases;
-      refresh_plan t plan
-    end;
+    (match registered t with
+    | [] -> ()
+    | registry ->
+        invalidate t;
+        let plan = get_plan t registry in
+        ensure_tables t plan ~nodes:plan.nodes ~bases:plan.bases;
+        refresh_plan t plan);
     Ok ()
   with
   | Maint_error msg | Failure msg -> Error msg

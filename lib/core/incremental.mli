@@ -2,55 +2,52 @@
 
     Derived predicates are kept materialized in [mat__p] tables and
     maintained under base-fact INSERT / DELETE traffic without re-running
-    the LFP:
+    the LFP, by DRed (delete-rederive; Gupta, Mumick & Subrahmanian,
+    SIGMOD 1993). Each node of the evaluation order is a clique; a
+    non-recursive predicate is a clique of one member with no recursive
+    rules. Delta rules have one variant per nonempty subset of the
+    changed body occurrences, the subset reading the per-update delta
+    tables and the rest the current state.
 
-    - {b counting} (non-recursive predicates): a companion [matcnt__p]
-      table stores a per-tuple derivation count. Delta rules — one per
-      nonempty subset of the changed body occurrences, the subset reading
-      the per-update delta tables and the rest the current state — are
-      evaluated as {e bags} ([SELECT] without [DISTINCT]); each result row
-      decrements (deletion phase) or, with inclusion-exclusion signs,
-      increments (insertion phase) its tuple's count. Tuples enter the
-      view when their count rises from zero and leave when it reaches
-      zero.
-    - {b DRed} (recursive cliques): over-delete everything a deleted
-      tuple could have supported (seeded by the subset variants, then
-      propagated with {!Runtime.resume_seminaive} over [odel__m] tables),
-      remove that set from each [mat__m] with one
+    - {b Deletions}: over-delete everything a deleted tuple could have
+      supported (seeded by the subset variants, then, in a recursive
+      clique, propagated with {!Runtime.resume_seminaive} over [odel__m]
+      tables), remove that set from each [mat__m] with one
       [DELETE ... WHERE (c1, ..., cn) IN (SELECT * FROM odel__m)],
       rederive the survivors semi-naively (the rules guarded by the
       over-deleted set of their head run once, then the guarded delta
       variants of the recursive rules resume the loop), and emit the
-      difference; insertions seed the new derivations and resume the
-      semi-naive loop over the materializations themselves.
+      difference.
+    - {b Insertions}: seed the new derivations and resume the semi-naive
+      loop over the materializations themselves.
 
-    Both phases walk the affected nodes in dependency order with the
-    deltas applied to the base relations first, so the deletion-phase
-    variants partition the removed derivations exactly and the
-    insertion-phase variants are subsets of the new state. Every delta
-    rule lists its delta (or over-deletion) occurrences first in FROM and
-    then each literal sharing a variable with those before it, so the
-    left-to-right join starts at the delta; the tables also hash-index
-    the base and [mat__] columns those joins probe, making each join an
-    index or member join. Maintenance
-    work runs with WAL logging suspended (undo stays active, so ROLLBACK
-    restores views and counts); recovery re-evaluates instead. *)
+    Every statement text is fixed per view, so it is planned once and
+    then served from the engine's statement cache. Both phases walk the
+    affected nodes in dependency order with the deltas applied to the
+    base relations first, and skip a node none of whose body predicates
+    changed in that phase. Every delta rule lists its delta (or
+    over-deletion) occurrences first in FROM and then each literal
+    sharing a variable with those before it, so the left-to-right join
+    starts at the delta; the tables also hash-index the base and [mat__]
+    columns those joins probe, making each join an index or member join.
+    Maintenance work runs with WAL logging suspended (undo stays active,
+    so ROLLBACK restores the views); recovery re-evaluates instead. *)
 
-(** Session-level maintenance mode. [Auto] picks counting for
-    non-recursive predicates and DRed for recursive cliques; predicates
-    whose rules use negation always fall back to recomputation. *)
+(** Session-level maintenance mode. [Auto] maintains every view by DRed,
+    except predicates whose rules use negation, which fall back to
+    recomputation; [Off] recomputes every view after each update. *)
 type mode =
   | Off
-  | Counting
-  | Dred
   | Auto
 
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 
-(** Per-predicate strategy, persisted in the [matviews] dictionary. *)
+(** Per-predicate strategy, persisted in the [matviews] dictionary. A
+    registration this module does not know (such as an older dump's
+    [counting]) reads as [S_recompute] until the view is materialized
+    again. *)
 type strategy =
-  | S_counting
   | S_dred
   | S_recompute
 
@@ -113,9 +110,11 @@ val apply :
     open, otherwise in its own. Falls back to {!refresh} (counted in
     {!Rdbms.Stats.t.maint_fallbacks}) when an affected predicate has the
     recompute strategy, the delta is large relative to the changed base
-    relations, a rule has too many changed body occurrences, or a
-    derivation-count invariant is violated. Mode [Off] applies the
-    changes and refreshes without counting a fallback. *)
+    relations, or a rule has too many changed body occurrences. Mode
+    [Off] applies the changes and refreshes without counting a
+    fallback. Each deleted base fact is removed by its own
+    [DELETE ... WHERE] text, because those statements are the WAL's redo
+    records (the delta tables are never logged). *)
 
 val view_rows : t -> string -> (Rdbms.Tuple.t list, string) result
 (** Current contents of a materialized view. *)

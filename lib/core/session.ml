@@ -18,7 +18,7 @@ type t = {
 }
 
 (* Every name-mangled table ("__" infix: the LFP scratch tables and the
-   mat__/matcnt__ maintenance pairs) is engine-internal churn — keep those
+   mat__ maintenance tables) is engine-internal churn — keep those
    in memory and put only user base relations and the dictionary on disk. *)
 let persistable name =
   let n = String.length name in
@@ -26,14 +26,11 @@ let persistable name =
   not (mangled 0)
 
 (* Snapshot versioning covers what a reader can observe: user base
-   relations, the dictionary, and the maintained-view pairs. The LFP
+   relations, the dictionary, and the maintained views. The LFP
    scratch tables are transient within one query — freezing copies of
    them per writer iteration would be pure overhead. *)
 let versioned name =
-  let prefixed p =
-    String.length name >= String.length p && String.sub name 0 (String.length p) = p
-  in
-  persistable name || prefixed "mat__" || prefixed "matcnt__"
+  persistable name || String.starts_with ~prefix:"mat__" name
 
 let of_engine engine =
   let stored = Stored_dkb.init engine in
@@ -108,26 +105,11 @@ let define_base t name cols ?(indexes = []) () =
 
 (* With materialized views registered, every base-fact mutation routes
    through the maintenance layer so the views stay consistent. *)
-(* With the sanitizer on, maintenance completion is a quiescent point:
-   audit the maintained-view pairs (matcnt__p / mat__p) on top of the
-   per-statement structural checks the engine already ran. *)
-let sanitize_views t =
-  if Engine.sanitize_enabled t.engine then
-    match Rdbms.Invariants.check_views (Engine.catalog t.engine) with
-    | [] -> Ok ()
-    | vs ->
-        Error
-          ("sanitize: maintained views inconsistent after maintenance: "
-          ^ String.concat "; " (List.map Rdbms.Invariants.violation_to_string vs))
-  else Ok ()
-
 let apply_facts t ~inserts ~deletes () =
   scoped t @@ fun () ->
-  match Incremental.apply t.incr ~mode:t.maintenance ~inserts ~deletes () with
-  | Ok report -> (
-      (match t.trace with Some tr -> Trace.maintenance tr report | None -> ());
-      match sanitize_views t with Ok () -> Ok report | Error _ as e -> e)
-  | Error _ as e -> e
+  let result = Incremental.apply t.incr ~mode:t.maintenance ~inserts ~deletes () in
+  (match (result, t.trace) with Ok report, Some tr -> Trace.maintenance tr report | _ -> ());
+  result
 
 let insert_facts t name rows =
   apply_facts t ~inserts:(List.map (fun row -> (name, row)) rows) ~deletes:[] ()
@@ -360,20 +342,52 @@ let update_stored t ?compiled_storage ?(clear = false) () =
 (* Incremental view maintenance *)
 
 let materialize t root =
-  scoped t @@ fun () ->
-  match Incremental.materialize t.incr ~mode:t.maintenance root with
-  | Ok regs -> ( match sanitize_views t with Ok () -> Ok regs | Error _ as e -> e)
-  | Error _ as e -> e
+  scoped t @@ fun () -> Incremental.materialize t.incr ~mode:t.maintenance root
 let views t = Incremental.registered t.incr
 let view_rows t pred = scoped t @@ fun () -> Incremental.view_rows t.incr pred
-let refresh_views t =
-  scoped t @@ fun () ->
-  match Incremental.refresh t.incr with
-  | Ok () -> sanitize_views t
-  | Error _ as e -> e
+let refresh_views t = scoped t @@ fun () -> Incremental.refresh t.incr
 
 (* ------------------------------------------------------------------ *)
 (* Inspection *)
+
+(* Each registered view against a from-scratch LFP of its predicate over
+   the stored rules, the ones the view maintains: a view whose rows
+   differ is reported on its [mat__] table, whatever bookkeeping
+   produced it. *)
+let view_violations t =
+  let catalog = Engine.catalog t.engine in
+  List.filter_map
+    (fun (p, _) ->
+      let table = Datalog.Names.mat p in
+      let violation fmt =
+        Printf.ksprintf (fun m -> Some { Rdbms.Invariants.v_table = table; v_message = m }) fmt
+      in
+      match Rdbms.Catalog.find_table catalog table with
+      | None -> violation "materialized view of %s has no table" p
+      | Some tbl -> (
+          let mat = tbl.Rdbms.Catalog.tbl_relation in
+          let arity = Rdbms.Schema.arity (Rdbms.Relation.schema mat) in
+          let args = List.init arity (fun i -> Ast.Var (Printf.sprintf "X%d" i)) in
+          let goal = { Ast.pred = p; args } in
+          match Compiler.compile ~stored:t.stored ~workspace:(Workspace.create ()) ~goal () with
+          | exception (Engine.Sql_error msg | Failure msg | Stored_dkb.Corrupt msg) ->
+              violation "cannot evaluate %s from scratch: %s" p msg
+          | Error msg -> violation "cannot evaluate %s from scratch: %s" p msg
+          | Ok compiled -> (
+              match Runtime.execute t.engine compiled.Compiler.program with
+              | exception (Engine.Sql_error msg | Failure msg) ->
+                  violation "cannot evaluate %s from scratch: %s" p msg
+              | run ->
+                  let rows = List.sort_uniq compare run.Runtime.rows in
+                  let missing =
+                    List.length (List.filter (fun r -> not (Rdbms.Relation.mem mat r)) rows)
+                  in
+                  let spurious = Rdbms.Relation.cardinal mat - (List.length rows - missing) in
+                  if missing = 0 && spurious = 0 then None
+                  else
+                    violation "%d tuples missing and %d spurious against a from-scratch LFP of %s"
+                      missing spurious p)))
+    (Incremental.registered t.incr)
 
 let check t =
   scoped t @@ fun () ->
@@ -399,7 +413,7 @@ let check t =
           pred = v.Rdbms.Invariants.v_table;
           message = "engine invariant: " ^ v.Rdbms.Invariants.v_message;
         })
-      (Engine.check_invariants t.engine)
+      (Engine.check_invariants t.engine @ view_violations t)
   in
   List.stable_sort Datalog.Lint.compare_diagnostic (invariants @ lint)
 

@@ -184,10 +184,12 @@ val update_stored :
 val check : t -> Datalog.Lint.diagnostic list
 (** The [.check] audit: lints the combined rule base (workspace clauses
     with their source positions, plus stored rules not already in the
-    workspace) against the EDB dictionary's base schemas, and runs the
-    full engine sanitizer ({!Rdbms.Engine.check_invariants}) — each
-    invariant violation surfaces as an [E301] error diagnostic named
-    after the offending table. Sorted errors-first. *)
+    workspace) against the EDB dictionary's base schemas, runs the full
+    engine sanitizer ({!Rdbms.Engine.check_invariants}), and compares
+    each materialized view with a from-scratch LFP of its predicate over
+    the stored rules. Each invariant violation, and each view with a
+    missing or spurious tuple, surfaces as an [E301] error diagnostic
+    named after the offending table. Sorted errors-first. *)
 
 val explain : t -> ?options:options -> string -> (string, string) result
 (** Compiles a goal and renders the evaluation order list and the
@@ -242,7 +244,7 @@ val recover :
     See {!Rdbms.Engine.attach_storage}. The session persists user base
     relations and the Stored D/KB dictionary to slotted-page heap files;
     name-mangled engine-internal tables (the LFP scratch tables, the
-    [mat__]/[matcnt__] maintenance pairs) stay purely in memory. *)
+    [mat__] maintenance tables) stay purely in memory. *)
 
 val attach_storage :
   t -> dir:string -> ?pool_pages:int -> ?mode:[ `Auto | `Overwrite ] -> unit ->

@@ -94,7 +94,7 @@ val rules_with_head : t -> string list -> Datalog.Ast.clause list
 
     [matviews (predname, strategy)] records which derived predicates are
     kept materialized ([mat__p] tables) and the maintenance strategy
-    assigned to each ("counting", "dred" or "recompute"). Persisted in
+    assigned to each ("dred" or "recompute"). Persisted in
     the DBMS like every other dictionary so snapshots restore it. *)
 
 val register_matview : t -> string -> string -> unit

@@ -29,15 +29,12 @@ let facts_base p = p ^ "__facts"
 let scratch_tables p = [ next p; delta p; new_delta p; diff p ]
 
 (* Incremental view maintenance (Core.Incremental): the persistent
-   materialization of a derived predicate, its derivation counts, and the
-   per-update delta scratch tables. *)
+   materialization of a derived predicate and the per-update delta and
+   over-deletion scratch tables. *)
 let mat p = "mat__" ^ p
-let cnt p = "matcnt__" ^ p
 let ins_delta p = "insd__" ^ p
 let del_delta p = "deld__" ^ p
 let overdel p = "odel__" ^ p
-
-let maint_tables p = [ mat p; cnt p; ins_delta p; del_delta p; overdel p ]
 
 let strip_prefix prefix s =
   let lp = String.length prefix in
@@ -51,7 +48,6 @@ let strip_decorations s =
   let s = strip_prefix "next__" s in
   let s = strip_prefix "diff__" s in
   let s = strip_prefix "mat__" s in
-  let s = strip_prefix "matcnt__" s in
   let s = strip_prefix "insd__" s in
   let s = strip_prefix "deld__" s in
   let s = strip_prefix "odel__" s in

@@ -40,10 +40,6 @@ val scratch_tables : string -> string list
 val mat : string -> string
 (** Persistent materialization of a derived predicate ([mat__p]). *)
 
-val cnt : string -> string
-(** Derivation-count companion table of a counting-maintained
-    materialization ([matcnt__p]: the view's columns plus [dcount]). *)
-
 val ins_delta : string -> string
 (** Per-update scratch: tuples inserted into a relation this update. *)
 
@@ -52,10 +48,6 @@ val del_delta : string -> string
 
 val overdel : string -> string
 (** DRed scratch: the over-deleted candidate set of a predicate. *)
-
-val maint_tables : string -> string list
-(** Every persistent or scratch table the maintenance layer may allocate
-    for one predicate. *)
 
 val strip_decorations : string -> string
 (** Best-effort inverse: [strip_decorations "m__p__bf"] is ["p"]. *)

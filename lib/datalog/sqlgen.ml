@@ -18,7 +18,7 @@ let col_ref ~columns alias pred k =
   | None -> err "predicate %s used with arity > its table's %d columns" pred (List.length cols));
   { Sql.qualifier = Some alias; column = List.nth cols k }
 
-let select_for_rule ~columns ?table_of ?head_columns ?(distinct = true) clause =
+let select_for_rule ~columns ?table_of ?head_columns clause =
   if clause.body = [] then err "cannot compile a bodiless clause to SQL: %s" (clause_to_string clause);
   let table_of = Option.value table_of ~default:(fun _ -> "") in
   let body = Array.of_list clause.body in
@@ -164,7 +164,7 @@ let select_for_rule ~columns ?table_of ?head_columns ?(distinct = true) clause =
         Sql.Sel_expr (e, Some name))
       clause.head.args head_cols
   in
-  Sql.Q_select { Sql.distinct; items; from; where; group_by = [] }
+  Sql.Q_select { Sql.distinct = true; items; from; where; group_by = [] }
 
 let insert_for_rule ~columns ?table_of ~target clause =
   let q = select_for_rule ~columns ?table_of clause in

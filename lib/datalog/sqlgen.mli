@@ -13,7 +13,6 @@ val select_for_rule :
   columns:(string -> string list) ->
   ?table_of:(int -> string) ->
   ?head_columns:string list ->
-  ?distinct:bool ->
   Ast.clause ->
   Rdbms.Sql_ast.query
 (** [select_for_rule ~columns rule] compiles a rule body.
@@ -28,10 +27,6 @@ val select_for_rule :
     predicate's schema.
 
     [head_columns] names the output columns (default [c1, c2, ...]).
-
-    [distinct] (default true) controls SELECT DISTINCT. With [false] the
-    result is the {e bag} of body instantiations — one row per
-    derivation — which is what counting-based view maintenance needs.
 
     Raises {!Codegen_error} on unsafe rules (unbound head or negated
     variables) or facts. *)

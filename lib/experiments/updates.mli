@@ -1,7 +1,7 @@
 (** Incremental-maintenance bench: a live graph under mixed single-edge
-    insert/delete traffic, maintained views (counting for non-recursive,
-    DRed for recursive cliques) against full re-evaluation of the same
-    views. Checks that the maintained relations stay tuple-identical to
+    insert/delete traffic, views maintained by DRed (a non-recursive
+    two-hop and the recursive ancestor/tc cliques) against full
+    re-evaluation of the same views. Checks that the maintained relations stay tuple-identical to
     a from-scratch LFP, that maintenance beats recomputation on
     single-edge deltas, and (at full scale) that the speedup is at least
     5x on the ancestor/tc workloads. Writes [BENCH_updates.json]. *)

@@ -1072,9 +1072,11 @@ let stmt_cache_violations t =
 (* Audit the catalog plus, when storage is attached, the buffer pool and
    heaps — with pool charging suspended, so the audit's own page traffic
    never pollutes the measured counters. *)
-let audit_invariants t base =
+let check_invariants t =
   let audit () =
-    let vs = base () @ snapshot_violations t @ stmt_cache_violations t in
+    let vs =
+      Invariants.check_catalog t.catalog @ snapshot_violations t @ stmt_cache_violations t
+    in
     match t.storage with
     | Some st -> vs @ Invariants.check_storage ~pool:st.st_pool ~heaps:(storage_heaps t)
     | None -> vs
@@ -1085,7 +1087,7 @@ let audit_invariants t base =
 
 let maybe_sanitize t =
   if t.sanitize then
-    match audit_invariants t (fun () -> Invariants.check_catalog t.catalog) with
+    match check_invariants t with
     | [] -> ()
     | vs ->
         fail "sanitize: engine invariant violated: %s"
@@ -1094,8 +1096,6 @@ let maybe_sanitize t =
 let set_sanitize t on = t.sanitize <- on
 
 let sanitize_enabled t = t.sanitize
-
-let check_invariants t = audit_invariants t (fun () -> Invariants.check t.catalog)
 
 let exec_stmt t stmt =
   charged t @@ fun () ->

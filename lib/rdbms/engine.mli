@@ -168,8 +168,8 @@ val set_sanitize : t -> bool -> unit
 val sanitize_enabled : t -> bool
 
 val check_invariants : t -> Invariants.violation list
-(** On-demand full audit: {!Invariants.check} (structural invariants plus
-    the maintained-view cross-checks), regardless of the sanitize flag. *)
+(** On-demand run of the sanitizer's audit, regardless of the sanitize
+    flag. *)
 
 val exec : t -> string -> result
 (** Execute one SQL statement given as text. When the statement cache is

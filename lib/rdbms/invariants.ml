@@ -1,9 +1,6 @@
 (* The engine-state sanitizer: audits every structure the catalog owns
    against first principles. [check_catalog] is cheap enough to run after
-   every statement (the engine's `sanitize` flag does exactly that);
-   [check_views] cross-checks the incremental-maintenance tables, which
-   are only consistent at statement-sequence boundaries, so it runs on
-   demand (Session.check, tests, post-maintenance). *)
+   every statement (the engine's `sanitize` flag does exactly that). *)
 
 type violation = {
   v_table : string;
@@ -11,11 +8,6 @@ type violation = {
 }
 
 let violation_to_string v = Printf.sprintf "%s: %s" v.v_table v.v_message
-
-(* maintenance-table naming, mirrored from Datalog.Names (lib/datalog
-   sits above lib/rdbms, so the decorations are restated here) *)
-let mat_prefix = "mat__"
-let cnt_prefix = "matcnt__"
 
 let check_table (tbl : Catalog.table) =
   let errs = ref [] in
@@ -135,61 +127,3 @@ let check_storage ~pool ~heaps =
       heaps
   in
   pool_errs @ heap_errs
-
-(* A maintained view pair: matcnt__p holds (view columns..., dcount) with
-   dcount >= 1 and one row per distinct tuple; mat__p holds exactly the
-   distinct support. *)
-let check_view_pair ~cnt_name ~(cnt : Relation.t) ~mat_name ~(mat : Relation.t) =
-  let errs = ref [] in
-  let err ~table fmt =
-    Printf.ksprintf (fun s -> errs := { v_table = table; v_message = s } :: !errs) fmt
-  in
-  let n = Schema.arity (Relation.schema cnt) in
-  if n <> Schema.arity (Relation.schema mat) + 1 then
-    err ~table:cnt_name "arity %d does not extend %s's arity %d by the dcount column" n
-      mat_name
-      (Schema.arity (Relation.schema mat))
-  else begin
-    let seen = Tuple_tbl.create () in
-    let distinct = ref 0 in
-    Relation.iter
-      (fun row ->
-        (match row.(n - 1) with
-        | Value.Int d when d >= 1 -> ()
-        | v ->
-            err ~table:cnt_name "tuple %s has derivation count %s (must be an int >= 1)"
-              (Tuple.to_string row) (Value.to_string v));
-        let proj = Array.sub row 0 (n - 1) in
-        if Tuple_tbl.add seen proj then begin
-          incr distinct;
-          if not (Relation.mem mat proj) then
-            err ~table:mat_name "missing tuple %s counted in %s" (Tuple.to_string proj)
-              cnt_name
-        end
-        else err ~table:cnt_name "duplicate count row for tuple %s" (Tuple.to_string proj))
-      cnt;
-    if Relation.cardinal mat <> !distinct then
-      err ~table:mat_name "%d tuples but %s counts %d distinct tuples"
-        (Relation.cardinal mat) cnt_name !distinct
-  end;
-  List.rev !errs
-
-let check_views catalog =
-  List.concat_map
-    (fun (tbl : Catalog.table) ->
-      let name = tbl.Catalog.tbl_name in
-      let plen = String.length cnt_prefix in
-      if String.length name > plen && String.sub name 0 plen = cnt_prefix then begin
-        let suffix = String.sub name plen (String.length name - plen) in
-        let mat_name = mat_prefix ^ suffix in
-        match Catalog.find_table catalog mat_name with
-        | None ->
-            [ { v_table = name; v_message = "has no matching " ^ mat_name ^ " table" } ]
-        | Some mat_tbl ->
-            check_view_pair ~cnt_name:name ~cnt:tbl.Catalog.tbl_relation ~mat_name
-              ~mat:mat_tbl.Catalog.tbl_relation
-      end
-      else [])
-    (Catalog.tables catalog)
-
-let check catalog = check_catalog catalog @ check_views catalog

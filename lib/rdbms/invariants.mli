@@ -7,12 +7,10 @@
       buckets versus live rows (counts, bytes, distinct keys), ordered
       indexes, statistics-snapshot sanity. It is cheap enough that the
       engine's [sanitize] flag runs it after every statement.
-    - {!check_views} cross-checks the incremental-maintenance pairs
-      ([matcnt__p] derivation counts >= 1, one count row per tuple,
-      [mat__p] = the distinct support). Maintenance updates these tables
-      over several statements, so this audit is only meaningful at
-      quiescent points and runs on demand.
-    - {!check} is both. *)
+    - {!check_storage} audits the buffer pool against the heaps.
+
+    A materialized view is audited one level up, against a from-scratch
+    evaluation of its predicate ([Core.Session.check]). *)
 
 type violation = {
   v_table : string;   (** the table (or index owner) the violation is in *)
@@ -29,10 +27,3 @@ val check_storage : pool:Buffer_pool.t -> heaps:(string * Heap.t) list -> violat
     consistent (map/frame agreement, no leaked pins) and matches the
     heaps' page counts (no file holds more resident frames than pages —
     the frame leak a TRUNCATE/DROP without invalidation would cause). *)
-
-val check_views : Catalog.t -> violation list
-(** Maintained-view audit ([matcnt__p] / [mat__p] pairs): only valid at
-    statement-sequence boundaries (after maintenance completes). *)
-
-val check : Catalog.t -> violation list
-(** [check_catalog] followed by [check_views]. *)

@@ -47,12 +47,10 @@ type t = {
           and greedy planning only) *)
   mutable maint_insertions : int;
       (** derived tuples added to materialized views by incremental
-          maintenance (counting delta rules or DRed insertion
-          propagation) *)
+          maintenance (DRed insertion propagation) *)
   mutable maint_deletions : int;
       (** derived tuples removed from materialized views by incremental
-          maintenance (derivation count reaching zero, or DRed
-          over-deletions that failed to rederive) *)
+          maintenance (DRed over-deletions that failed to rederive) *)
   mutable maint_rederived : int;
       (** over-deleted tuples DRed put back because an alternative
           derivation survived *)

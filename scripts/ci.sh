@@ -164,9 +164,11 @@ perfbench_smoke() {
       *) echo "perfbench $w: not correct, or failed ops"; exit 1 ;;
     esac
   done
-  # a traced maintain run: DRed's texts are fixed per view and come from
-  # the statement cache, so few plans are built per op; per-tuple
-  # statement texts would build one plan each (a count, not a time)
+  # a traced maintain run: every maintenance text is fixed per view and
+  # comes from the statement cache, so an op builds a plan only for its
+  # base-fact DELETE (one text per fact: it is the WAL's redo record);
+  # per-tuple maintenance texts would build one plan each (a count, not
+  # a time)
   LINE=$(cd "$PERF" && ../default/perfbench/dkbbench.exe --workload maintain --seed 1 \
     --seconds 2 --trace 1 --dkbd "$ROOT/_build/default/bin/dkbd.exe" | tail -n 1)
   case "$LINE" in
@@ -175,9 +177,9 @@ perfbench_smoke() {
   esac
   PLANS=$(echo "$LINE" | sed -n 's/.*"engine.plans_built": {"value": \([0-9.eE+-]*\),.*/\1/p')
   [ -n "$PLANS" ] || { echo "perfbench maintain (traced): no engine.plans_built: $LINE"; exit 1; }
-  awk -v p="$PLANS" 'BEGIN { exit !(p <= 20) }' \
-    || { echo "perfbench maintain (traced): $PLANS plans built per op (> 20)"; exit 1; }
-  echo "maintain (traced): $PLANS plans built per op (<= 20)"
+  awk -v p="$PLANS" 'BEGIN { exit !(p <= 2) }' \
+    || { echo "perfbench maintain (traced): $PLANS plans built per op (> 2)"; exit 1; }
+  echo "maintain (traced): $PLANS plans built per op (<= 2)"
 }
 gate "perfbench smoke (derive, maintain, wire; traced maintain plans)" perfbench_smoke
 

@@ -1,9 +1,9 @@
-(* Tests for incremental view maintenance: after every update, a
-   maintained view must be tuple-identical to a from-scratch LFP over
-   the same base state — for counting (non-recursive) and DRed
-   (recursive) strategies alike. Plus the update-path edge cases:
-   deleting a never-inserted fact, delete + re-insert in one batch,
-   ROLLBACK restoring base relations and derivation counts. *)
+(* Tests for incremental view maintenance: after every update, a view
+   maintained by DRed must be tuple-identical to a from-scratch LFP over
+   the same base state — for non-recursive and recursive predicates
+   alike. Plus the update-path edge cases: deleting a never-inserted
+   fact, delete + re-insert in one batch, ROLLBACK restoring base
+   relations and views. *)
 
 module Session = Core.Session
 module Incremental = Core.Incremental
@@ -68,8 +68,8 @@ let differential ~mode ~rules ~roots ~goals ~seed ~steps () =
           (List.map (List.map V.to_string) (query_rows s goal))
           (List.map (List.map V.to_string) (view s pred)))
       goals;
-    (* every step is a quiescent point: the full sanitizer (structural
-       audit + matcnt__/mat__ cross-checks) must hold *)
+    (* every step is a quiescent point: the full structural audit must
+       hold *)
     match Engine.check_invariants (Session.engine s) with
     | [] -> ()
     | vs ->
@@ -95,15 +95,20 @@ let differential ~mode ~rules ~roots ~goals ~seed ~steps () =
     if report.Incremental.maintained then incr maintained;
     check step
   done;
+  (* Session.check's view audit agrees: no view differs from its LFP *)
+  Alcotest.(check (list string)) "no E301 after the last step" []
+    (List.filter_map
+       (fun d -> if d.Datalog.Lint.code = "E301" then Some d.Datalog.Lint.message else None)
+       (Session.check s));
   Alcotest.(check bool)
     (Printf.sprintf "most steps maintained incrementally (%d/%d)" !maintained steps)
     true
     (2 * !maintained >= steps)
 
-let test_differential_counting () =
+let test_differential_layered () =
   (* layered non-recursive views: deltas propagate through a derived
-     predicate into another counting-maintained one *)
-  differential ~mode:Incremental.Counting
+     predicate into another non-recursive one *)
+  differential ~mode:Incremental.Auto
     ~rules:
       [
         "hop2(X, Y) :- edge(X, Z), edge(Z, Y).";
@@ -126,7 +131,7 @@ let test_differential_dred () =
     ~seed:7 ~steps:40 ()
 
 let test_differential_mixed () =
-  (* counting below DRed: a non-recursive view feeding a recursive one *)
+  (* a non-recursive view feeding a recursive one *)
   differential ~mode:Incremental.Auto
     ~rules:
       [
@@ -139,25 +144,24 @@ let test_differential_mixed () =
     ~seed:99 ~steps:30 ()
 
 (* ------------------------------------------------------------------ *)
-(* Derivation counts: exact multiplicities on the diamond *)
+(* Exact multiplicities on the diamond: a tuple with two derivations
+   survives the loss of one *)
 
-let test_counting_multiplicities () =
+let test_exact_multiplicities () =
   let s = setup [ "hop2(X, Y) :- edge(X, Z), edge(Z, Y)." ] in
-  Session.set_maintenance s Incremental.Counting;
   load_edges s [ (1, 2); (1, 3); (2, 4); (3, 4) ];
   ignore (ok (Session.materialize s "hop2"));
   (* hop2(1,4) has two derivations: via 2 and via 3 *)
   Alcotest.(check (list (list string)))
-    "two derivations recorded"
-    [ [ "1"; "4"; "2" ] ]
-    (List.map (List.map V.to_string) (table_rows s "SELECT * FROM matcnt__hop2"));
+    "one tuple" [ [ "1"; "4" ] ]
+    (List.map (List.map V.to_string) (view s "hop2"));
   let r = ok (Session.delete_facts s "edge" [ row_of (2, 4) ]) in
   Alcotest.(check bool) "maintained" true r.Incremental.maintained;
-  (* one support gone, the tuple survives on the other *)
-  Alcotest.(check (list (list string)))
-    "count decremented, tuple kept"
-    [ [ "1"; "4"; "1" ] ]
-    (List.map (List.map V.to_string) (table_rows s "SELECT * FROM matcnt__hop2"));
+  (* one support gone: over-deleted, then rederived from the other *)
+  Alcotest.(check int) "rederived" 1 r.Incremental.rederived;
+  Alcotest.(check (list (pair string (pair int int))))
+    "no view delta" []
+    (List.map (fun (p, i, d) -> (p, (i, d))) r.Incremental.derived_changes);
   Alcotest.(check (list (list string)))
     "view keeps the tuple" [ [ "1"; "4" ] ]
     (List.map (List.map V.to_string) (view s "hop2"));
@@ -188,7 +192,7 @@ let test_delete_and_reinsert_in_one_batch () =
   load_edges s [ (1, 2); (2, 3) ];
   ignore (ok (Session.materialize s "hop2"));
   let before_view = view s "hop2" in
-  let before_cnt = table_rows s "SELECT * FROM matcnt__hop2" in
+  let before_mat = table_rows s "SELECT * FROM mat__hop2" in
   let r =
     ok (Session.apply_facts s ~inserts:[ ("edge", row_of (1, 2)) ]
           ~deletes:[ ("edge", row_of (1, 2)) ] ())
@@ -197,20 +201,20 @@ let test_delete_and_reinsert_in_one_batch () =
   Alcotest.(check (pair int int)) "delete + re-insert both applied" (1, 1)
     (r.Incremental.base_inserted, r.Incremental.base_deleted);
   Alcotest.(check bool) "view unchanged" true (before_view = view s "hop2");
-  Alcotest.(check bool) "counts unchanged" true
-    (before_cnt = table_rows s "SELECT * FROM matcnt__hop2");
+  Alcotest.(check bool) "materialization unchanged" true
+    (before_mat = table_rows s "SELECT * FROM mat__hop2");
   Alcotest.(check (list (list string))) "base row still present"
     [ [ "1"; "2" ]; [ "2"; "3" ] ]
     (List.map (List.map V.to_string) (table_rows s "SELECT * FROM edge"))
 
-let test_rollback_restores_views_and_counts () =
+let test_rollback_restores_hop2_view () =
   let s = setup [ "hop2(X, Y) :- edge(X, Z), edge(Z, Y)." ] in
   load_edges s [ (1, 2); (1, 3); (2, 4); (3, 4) ];
   ignore (ok (Session.materialize s "hop2"));
   let engine = Session.engine s in
   let base_before = table_rows s "SELECT * FROM edge" in
   let view_before = view s "hop2" in
-  let cnt_before = table_rows s "SELECT * FROM matcnt__hop2" in
+  let mat_before = table_rows s "SELECT * FROM mat__hop2" in
   Engine.begin_txn engine;
   let r =
     ok (Session.apply_facts s ~inserts:[ ("edge", row_of (4, 5)) ]
@@ -221,8 +225,8 @@ let test_rollback_restores_views_and_counts () =
   Engine.rollback_txn engine;
   Alcotest.(check bool) "base restored" true (base_before = table_rows s "SELECT * FROM edge");
   Alcotest.(check bool) "view restored" true (view_before = view s "hop2");
-  Alcotest.(check bool) "derivation counts restored" true
-    (cnt_before = table_rows s "SELECT * FROM matcnt__hop2")
+  Alcotest.(check bool) "materialization restored" true
+    (mat_before = table_rows s "SELECT * FROM mat__hop2")
 
 let test_rollback_restores_dred_view () =
   let s = setup [ "anc(X, Y) :- edge(X, Y)."; "anc(X, Y) :- edge(X, Z), anc(Z, Y)." ] in
@@ -310,48 +314,41 @@ let test_delete_fast_path_uses_index () =
     stats.Rdbms.Stats.index_probes
 
 (* ------------------------------------------------------------------ *)
-(* The sanitizer actually bites: corrupt the maintenance bookkeeping
-   through raw SQL and the audit (and Session.check) must report it. *)
+(* The audit actually bites: corrupt a view through raw SQL and
+   Session.check must report it, by comparing the view with a
+   from-scratch LFP of its predicate. *)
 
-(* non-recursive, so materialization picks counting and keeps a
-   matcnt__hop table alongside mat__hop *)
-let hop_rules = [ "hop(X, Y) :- edge(X, Z), edge(Z, Y)." ]
-
-let corrupted_session () =
-  let s = setup hop_rules in
+let corrupted_session sql =
+  let s = setup [ "hop(X, Y) :- edge(X, Z), edge(Z, Y)." ] in
   load_edges s [ (1, 2); (2, 3) ];
   ignore (ok (Session.materialize s "hop"));
+  Alcotest.(check (list string)) "clean before corruption" []
+    (List.map (fun d -> d.Datalog.Lint.message) (Session.check s));
+  ignore (Engine.exec (Session.engine s) sql);
   s
 
-let test_detects_count_corruption () =
-  let s = corrupted_session () in
-  Alcotest.(check (list string)) "clean before corruption" []
-    (List.map Rdbms.Invariants.violation_to_string
-       (Engine.check_invariants (Session.engine s)));
-  (* a derivation count of 0 is never legal *)
-  ignore (Engine.exec (Session.engine s) "UPDATE matcnt__hop SET dcount = 0 WHERE c1 = 1");
-  let vs = Engine.check_invariants (Session.engine s) in
-  Alcotest.(check bool) "violations reported" true (vs <> []);
-  Alcotest.(check bool) "attributed to matcnt__hop" true
-    (List.exists (fun v -> v.Rdbms.Invariants.v_table = "matcnt__hop") vs)
+let e301_on_mat_hop s =
+  List.filter
+    (fun d -> d.Datalog.Lint.code = "E301" && d.Datalog.Lint.pred = "mat__hop")
+    (Session.check s)
 
 let test_detects_missing_support () =
-  let s = corrupted_session () in
-  (* mat__anc loses a tuple the counts still claim *)
-  ignore (Engine.exec (Session.engine s) "DELETE FROM mat__hop WHERE c1 = 1 AND c2 = 3");
-  let vs = Engine.check_invariants (Session.engine s) in
-  Alcotest.(check bool) "violations reported" true (vs <> []);
-  Alcotest.(check bool) "attributed to mat__hop" true
-    (List.exists (fun v -> v.Rdbms.Invariants.v_table = "mat__hop") vs)
+  (* mat__hop loses the tuple edge(1,2), edge(2,3) derives *)
+  let s = corrupted_session "DELETE FROM mat__hop WHERE c1 = 1 AND c2 = 3" in
+  match e301_on_mat_hop s with
+  | [ d ] ->
+      Alcotest.(check bool) ("names the missing tuple: " ^ d.Datalog.Lint.message) true
+        (Astring.String.is_infix ~affix:"1 tuples missing and 0 spurious" d.Datalog.Lint.message)
+  | ds -> Alcotest.failf "expected one E301 on mat__hop, got %d" (List.length ds)
 
 let test_session_check_surfaces_e301 () =
-  let s = corrupted_session () in
-  ignore (Engine.exec (Session.engine s) "DELETE FROM mat__hop WHERE c1 = 1 AND c2 = 3");
-  let ds = Session.check s in
-  Alcotest.(check bool) "E301 diagnostic" true
-    (List.exists
-       (fun d -> d.Datalog.Lint.code = "E301" && d.Datalog.Lint.pred = "mat__hop")
-       ds)
+  (* a tuple no derivation supports *)
+  let s = corrupted_session "INSERT INTO mat__hop VALUES (3, 1)" in
+  match e301_on_mat_hop s with
+  | [ d ] ->
+      Alcotest.(check bool) ("names the spurious tuple: " ^ d.Datalog.Lint.message) true
+        (Astring.String.is_infix ~affix:"0 tuples missing and 1 spurious" d.Datalog.Lint.message)
+  | ds -> Alcotest.failf "expected one E301 on mat__hop, got %d" (List.length ds)
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance plans: over an [edge] declared without any index, every
@@ -654,6 +651,50 @@ let test_materialize_adds_only_new () =
   move s (2, 4, 5);
   views_fresh "maintained" s
 
+(* Every maintenance statement text is fixed per view, so once a few
+   moves have planned them all, a move builds a plan only for its
+   base-fact DELETE, the one text that embeds a tuple (it is the WAL's
+   redo record). The DAG has 6 layers of 4 nodes (node 10l + k); (l, k)
+   has edges to (l+1, k) and (l+1, k+1 mod 4). Each move sends an edge
+   of the middle layers to (l+1, k+2 mod 4), which no edge joins, and
+   the next move sends it back. *)
+let test_moves_plan_only_base_deletes () =
+  let node l k = (10 * l) + (k mod 4) in
+  let layered =
+    List.concat_map
+      (fun l ->
+        List.concat_map
+          (fun k -> [ (node l k, node (l + 1) k); (node l k, node (l + 1) (k + 1)) ])
+          [ 0; 1; 2; 3 ])
+      [ 0; 1; 2; 3; 4 ]
+  in
+  let s = setup ~indexes:[] (hop2_rule :: right_tc) in
+  load_edges s layered;
+  List.iter (fun v -> ignore (ok (Session.materialize s v))) [ "tc"; "hop2" ];
+  let there_and_back (l, k) =
+    move s (node l k, node (l + 1) k, node (l + 1) (k + 2));
+    move s (node l k, node (l + 1) (k + 2), node (l + 1) k)
+  in
+  List.iter there_and_back [ (1, 0); (2, 0) ];
+  let e = Session.engine s in
+  let planned = ref [] in
+  Engine.set_trace_hook e
+    (Some
+       (function
+       | Engine.Tr_stmt_end { sql; delta; _ } when delta.Rdbms.Stats.plan_cache_misses > 0 ->
+           planned := sql :: !planned
+       | _ -> ()));
+  let measured = List.concat_map (fun l -> List.map (fun k -> (l, k)) [ 1; 2; 3 ]) [ 1; 2 ] in
+  Fun.protect ~finally:(fun () -> Engine.set_trace_hook e None) (fun () ->
+      List.iter there_and_back measured);
+  List.iter
+    (fun sql ->
+      Alcotest.(check bool) ("plan built only for a base delete: " ^ sql) true
+        (Astring.String.is_prefix ~affix:"DELETE FROM edge WHERE" sql))
+    !planned;
+  Alcotest.(check int) "one plan per move" (2 * List.length measured) (List.length !planned);
+  views_fresh "after the moves" s
+
 (* The maintenance indexes on a base table survive a checkpoint: the
    recovery's ensure must skip them, not create them twice. *)
 let test_recover_after_checkpoint () =
@@ -683,26 +724,24 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "counting (layered non-recursive)" `Quick
-            test_differential_counting;
+          Alcotest.test_case "layered non-recursive" `Quick test_differential_layered;
           Alcotest.test_case "dred (recursive, cyclic graphs)" `Quick test_differential_dred;
-          Alcotest.test_case "counting under dred" `Quick test_differential_mixed;
+          Alcotest.test_case "non-recursive under recursive" `Quick test_differential_mixed;
         ] );
-      ( "counting",
-        [ Alcotest.test_case "exact multiplicities" `Quick test_counting_multiplicities ] );
+      ( "non-recursive",
+        [ Alcotest.test_case "exact multiplicities" `Quick test_exact_multiplicities ] );
       ( "edge cases",
         [
           Alcotest.test_case "delete never-inserted" `Quick test_delete_never_inserted;
           Alcotest.test_case "delete + re-insert in one batch" `Quick
             test_delete_and_reinsert_in_one_batch;
-          Alcotest.test_case "rollback restores counting state" `Quick
-            test_rollback_restores_views_and_counts;
+          Alcotest.test_case "rollback restores hop2 view" `Quick
+            test_rollback_restores_hop2_view;
           Alcotest.test_case "rollback restores dred view" `Quick
             test_rollback_restores_dred_view;
         ] );
       ( "sanitizer",
         [
-          Alcotest.test_case "count corruption detected" `Quick test_detects_count_corruption;
           Alcotest.test_case "missing support detected" `Quick test_detects_missing_support;
           Alcotest.test_case "Session.check reports E301" `Quick
             test_session_check_surfaces_e301;
@@ -730,5 +769,7 @@ let () =
           Alcotest.test_case "mutual recursion" `Quick test_mutual_recursion;
           Alcotest.test_case "materialize adds only new views" `Quick
             test_materialize_adds_only_new;
+          Alcotest.test_case "moves plan only base deletes" `Quick
+            test_moves_plan_only_base_deletes;
         ] );
     ]
