@@ -65,7 +65,8 @@ let help_text =
                                  (re-attaching paged storage at [dir])
   .storage <dir> [pages]         put base tables on slotted-page heap files
                                  under <dir> behind a [pages]-frame buffer
-                                 pool; page_reads become measured misses.
+                                 pool; page_reads stay simulated, and the
+                                 pool counts measured hits and misses.
                                  Bare .storage shows pool statistics
   .clear                         clear the workspace
   .help                          this message

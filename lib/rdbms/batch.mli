@@ -1,7 +1,8 @@
 (** A growable buffer of rows — the unit of data flow between compiled
     operators ({!Exec_compiled}). Compared to [Tuple.t list] plumbing (as
-    in the reference {!Executor}), a batch appends in amortized O(1) with no
-    per-row cons cell and never needs a [List.rev] to restore order.
+    in the tuple-at-a-time reference interpreter the tests keep), a batch
+    appends in amortized O(1) with no per-row cons cell and never needs a
+    [List.rev] to restore order.
 
     Batches hold references to the same [Tuple.t] arrays the storage layer
     does; they are per-execution buffers, never aliased between operators

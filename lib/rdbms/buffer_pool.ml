@@ -3,10 +3,10 @@
 
    Page files register a read/write backend and get a file id; pages are
    addressed as (file id, page number). A miss reads the page through the
-   backend and charges [Stats.page_reads]; evicting or flushing a dirty
-   frame writes it back and charges [Stats.page_writes]. This is where
-   "page I/O" stops being simulated: the executor's measured charges are
-   exactly the misses and writebacks of this pool. *)
+   backend; evicting or flushing a dirty frame writes it back. The pool's
+   own hit, miss and writeback counters are the engine's measured I/O.
+   They are a separate family from the simulated [Stats] charges of the
+   paper's cost model, and the two are never added together. *)
 
 type frame = {
   mutable key : (int * int) option; (* (file_id, page_no); None = free *)
@@ -27,7 +27,6 @@ type t = {
   mutable hand : int;
   files : (int, backend) Hashtbl.t;
   mutable next_file : int;
-  mutable stats : Stats.t option;
   mutable hits : int;
   mutable misses : int;
   mutable writebacks : int;
@@ -43,14 +42,12 @@ let create ?(pages = 64) () =
     hand = 0;
     files = Hashtbl.create 8;
     next_file = 0;
-    stats = None;
     hits = 0;
     misses = 0;
     writebacks = 0;
   }
 
 let size t = Array.length t.frames
-let set_stats t stats = t.stats <- Some stats
 let hits t = t.hits
 let misses t = t.misses
 let writebacks t = t.writebacks
@@ -71,10 +68,7 @@ let write_back t fr =
   | Some (fid, pno) when fr.dirty ->
       (backend_exn t fid).write pno fr.data;
       fr.dirty <- false;
-      t.writebacks <- t.writebacks + 1;
-      (match t.stats with
-      | Some s -> s.Stats.page_writes <- s.Stats.page_writes + 1
-      | None -> ())
+      t.writebacks <- t.writebacks + 1
   | _ -> ()
 
 (* Clock sweep: skip pinned frames; a set ref bit buys one more lap. Two
@@ -125,10 +119,7 @@ let frame_for t key ~fresh =
         let fid, pno = key in
         (backend_exn t fid).read pno fr.data;
         fr.dirty <- false;
-        t.misses <- t.misses + 1;
-        match t.stats with
-        | Some s -> s.Stats.page_reads <- s.Stats.page_reads + 1
-        | None -> ()
+        t.misses <- t.misses + 1
       end;
       fr
 
@@ -181,12 +172,17 @@ let unregister t fid =
   invalidate_file t fid;
   Hashtbl.remove t.files fid
 
-(* Run [f] with stats charging suspended: the sanitizer's heap audits
-   read pages through the pool without polluting the measured counters. *)
+(* Run [f] with the counters saved and restored afterwards: the
+   sanitizer's heap audits read pages through the pool without polluting
+   the measured counters. *)
 let suspended t f =
-  let saved = t.stats in
-  t.stats <- None;
-  Fun.protect ~finally:(fun () -> t.stats <- saved) f
+  let hits = t.hits and misses = t.misses and writebacks = t.writebacks in
+  Fun.protect
+    ~finally:(fun () ->
+      t.hits <- hits;
+      t.misses <- misses;
+      t.writebacks <- writebacks)
+    f
 
 let resident t fid =
   Array.fold_left

@@ -1,7 +1,8 @@
 (** A shared buffer pool over page files: clock (second-chance) eviction,
-    pin counts, dirty-page writeback. Misses charge [page_reads] and
-    writebacks charge [page_writes] on the wired {!Stats.t} — these are
-    the measured I/O numbers the engine reports for disk-backed tables. *)
+    pin counts, dirty-page writeback. Its {!hits}, {!misses} and
+    {!writebacks} are the engine's measured I/O. They are separate from
+    the simulated page charges of {!Stats}, which the cost model makes
+    for every relation whether or not it lives in a heap. *)
 
 type t
 
@@ -18,9 +19,6 @@ val create : ?pages:int -> unit -> t
 val size : t -> int
 (** Frame count. *)
 
-val set_stats : t -> Stats.t -> unit
-(** Wire the stats that misses/writebacks charge. *)
-
 val register : t -> backend -> int
 (** Register a page file; returns its file id. *)
 
@@ -29,7 +27,7 @@ val unregister : t -> int -> unit
 
 val pin : t -> int -> int -> Bytes.t
 (** [pin t file page_no] returns the frame holding the page, reading it
-    through the backend on a miss (charging one page read), and pins it:
+    through the backend on a miss (counting one miss), and pins it:
     it cannot be evicted until {!unpin}. Raises [Failure] when every
     frame is pinned. *)
 
@@ -50,8 +48,10 @@ val invalidate_file : t -> int -> unit
     [Failure] if one is pinned. *)
 
 val suspended : t -> (unit -> 'a) -> 'a
-(** Run a thunk with stats charging suspended (sanitizer audits must not
-    pollute the measured counters). *)
+(** Run a thunk, then restore {!hits}, {!misses} and {!writebacks} to
+    their values before it (sanitizer audits must not pollute the
+    measured counters). Frame residency is not restored: pages the thunk
+    read may have evicted others. *)
 
 val resident : t -> int -> int
 (** Frames currently holding pages of the file. *)

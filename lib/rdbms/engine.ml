@@ -406,7 +406,6 @@ let attach_storage t ~dir ?(pool_pages = 64) ?(persist = fun _ -> true) ?(mode =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   if not (Sys.is_directory dir) then fail "not a directory: %s" dir;
   let pool = Buffer_pool.create ~pages:pool_pages () in
-  Buffer_pool.set_stats pool t.stats;
   let st = { st_dir = dir; st_pool = pool; st_heaps = Hashtbl.create 16; st_persist = persist } in
   t.storage <- Some st;
   List.iter
@@ -476,10 +475,6 @@ let close_storage t =
       Hashtbl.iter (fun _ h -> Heap.close h) st.st_heaps;
       Hashtbl.reset st.st_heaps;
       t.storage <- None
-
-(* A relation whose page I/O is measured by the pool: skip the simulated
-   byte-arithmetic charges for it. *)
-let measured rel = Relation.backed rel
 
 (* ------------------------------------------------------------------ *)
 (* Transactions: logical undo logging and the commit hook *)
@@ -610,12 +605,8 @@ let insert_iter ?(trust = false) t table_name iter =
           | false -> ()
           | exception Invalid_argument msg -> raise (Sql_error msg));
       if !count > 0 then begin
-        (* measured relations pay for writes when the pool writes dirty
-           pages back (eviction/flush), not per statement *)
-        if not (measured rel) then
-          t.stats.Stats.page_writes <-
-            t.stats.Stats.page_writes
-            + max 1 (Stats.pages_of_bytes (Relation.byte_size rel - bytes0));
+        t.stats.Stats.page_writes <-
+          t.stats.Stats.page_writes + max 1 (Stats.pages_of_bytes (Relation.byte_size rel - bytes0));
         t.stats.Stats.rows_inserted <- t.stats.Stats.rows_inserted + !count
       end;
       Affected !count
@@ -639,11 +630,8 @@ let clear_table_raw t name =
       record t (fun () -> U_truncate (name, Relation.to_list rel));
       let n = Relation.cardinal rel in
       if n > 0 then t.stats.Stats.rows_deleted <- t.stats.Stats.rows_deleted + n;
-      (* a measured TRUNCATE drops the heap's pool frames and the file —
-         there is no per-page writeback to simulate *)
-      if not (measured rel) then
-        t.stats.Stats.page_writes <-
-          t.stats.Stats.page_writes + (if n > 0 then Relation.pages rel else 1);
+      t.stats.Stats.page_writes <-
+        t.stats.Stats.page_writes + (if n > 0 then Relation.pages rel else 1);
       t.stats.Stats.tables_truncated <- t.stats.Stats.tables_truncated + 1;
       Relation.clear rel
 
@@ -722,12 +710,9 @@ let run_plan stats plan = Exec_compiled.run (Exec_compiled.compile stats plan)
 
 (* The rows of [table] a DELETE or UPDATE touches, found by a full scan.
    The scan is charged here, once, at the relation's page count; the
-   predicate runs against a scratch Stats so it is not charged twice. A
-   measured relation charges its own pool misses instead (the scratch
-   Stats only swallows the simulated charge, never pool charges). *)
+   predicate runs against a scratch Stats so it is not charged twice. *)
 let scan_victims t table rel where =
-  if not (measured rel) then
-    t.stats.Stats.page_reads <- t.stats.Stats.page_reads + Relation.pages rel;
+  t.stats.Stats.page_reads <- t.stats.Stats.page_reads + Relation.pages rel;
   match where with
   | None -> Relation.to_list rel
   | Some cond ->
@@ -757,8 +742,7 @@ let delete_rows t table rel rows =
       end)
     rows;
   if !deleted > 0 then begin
-    if not (measured rel) then
-      t.stats.Stats.page_writes <- t.stats.Stats.page_writes + max 1 (Stats.pages_of_bytes !bytes);
+    t.stats.Stats.page_writes <- t.stats.Stats.page_writes + max 1 (Stats.pages_of_bytes !bytes);
     t.stats.Stats.rows_deleted <- t.stats.Stats.rows_deleted + !deleted
   end;
   Affected !deleted
@@ -802,12 +786,9 @@ let run_stmt_raw t stmt =
       in
       List.iter
         (fun tbl ->
-          (* collecting statistics reads the whole table once; for a
-             measured relation the collection scan below charges its own
-             pool misses *)
-          if not (measured tbl.Catalog.tbl_relation) then
-            t.stats.Stats.page_reads <-
-              t.stats.Stats.page_reads + Relation.pages tbl.Catalog.tbl_relation;
+          (* collecting statistics reads the whole table once *)
+          t.stats.Stats.page_reads <-
+            t.stats.Stats.page_reads + Relation.pages tbl.Catalog.tbl_relation;
           t.stats.Stats.tables_analyzed <- t.stats.Stats.tables_analyzed + 1;
           Catalog.set_stats tbl (Table_stats.collect tbl.Catalog.tbl_relation))
         targets;
@@ -962,8 +943,7 @@ let run_stmt_raw t stmt =
           0 victims
       in
       if updated > 0 then begin
-        if not (measured rel) then
-          t.stats.Stats.page_writes <- t.stats.Stats.page_writes + 1;
+        t.stats.Stats.page_writes <- t.stats.Stats.page_writes + 1;
         t.stats.Stats.rows_inserted <- t.stats.Stats.rows_inserted + updated;
         t.stats.Stats.rows_deleted <- t.stats.Stats.rows_deleted + updated
       end;
@@ -1070,8 +1050,8 @@ let stmt_cache_violations t =
     t.stmt_cache []
 
 (* Audit the catalog plus, when storage is attached, the buffer pool and
-   heaps — with pool charging suspended, so the audit's own page traffic
-   never pollutes the measured counters. *)
+   heaps — inside [Buffer_pool.suspended], so the audit's own page
+   traffic never pollutes the pool's measured counters. *)
 let check_invariants t =
   let audit () =
     let vs =

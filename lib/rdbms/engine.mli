@@ -68,12 +68,13 @@ val with_session : t -> sid:int -> charge:Stats.t -> (unit -> 'a) -> 'a
 
     With storage attached, each persisted base table is mirrored into a
     slotted-page heap file ([<dir>/<table>.heap]) behind a shared buffer
-    pool, and whole-table scans read through it: [page_reads] are the
-    pool's actual cold misses and [page_writes] its dirty-page
-    writebacks, instead of the byte-derived simulated charges (which
-    in-memory relations keep). Index structures stay in memory — probe
-    charges remain simulated — and so do tables the [persist] predicate
-    rejects (the LFP scratch tables). *)
+    pool, and whole-table scans read through it. Two families of I/O
+    counters, never added together: {!Stats} keeps the simulated
+    charges of the paper's cost model, the same for a heap-backed table
+    as for an in-memory one, and the pool ({!buffer_pool}) measures its
+    own hits, misses and dirty-page writebacks. Index structures stay in
+    memory, and so do tables the [persist] predicate rejects (the LFP
+    scratch tables). *)
 
 val attach_storage :
   t ->
@@ -262,7 +263,7 @@ type trace_event =
       est : Cost.est option;
           (** the planner's cost estimate for the statement's plan, when
               one was planned (SELECT / INSERT ... SELECT); lets a trace
-              consumer compare estimated against measured page I/O *)
+              consumer compare estimated against charged page I/O *)
       sid : int option;
           (** issuing session id when the statement ran under
               {!with_session} *)

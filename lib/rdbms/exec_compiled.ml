@@ -2,11 +2,11 @@ module Timer = Dkb_util.Timer
 
 (* The engine's executor: a one-time pass translates a physical plan into
    a tree of closures, so the per-run hot path has no plan-AST dispatch,
-   and operators exchange Batch.t buffers instead of consed lists. The
-   reference interpreter (Executor) defines the semantics: same counters
-   bumped at the same points with the same amounts, same rows in the same
-   order, same profile trees — the differential test battery holds the
-   two to it. *)
+   and operators exchange Batch.t buffers instead of consed lists. A
+   tuple-at-a-time reference interpreter in the test suite defines the
+   semantics: same counters bumped at the same points with the same
+   amounts, same rows in the same order, same profile trees — the
+   differential test battery holds the two to it. *)
 
 type t = {
   label : string Lazy.t; (* op_label of the plan root, for the profile root node *)
@@ -36,29 +36,15 @@ module Key_tbl = Hashtbl.Make (struct
   let hash k = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 k
 end)
 
-(* Scan charge: simulated for in-memory relations; for a heap-backed
-   (measured) relation the buffer pool charges the iteration's misses
-   directly, so [scanning] only attributes the miss delta to the profile
-   node afterwards. *)
+(* Scan charge: the relation's simulated page count, whether or not a
+   heap backs it (the buffer pool counts a backed scan's real page
+   traffic separately). *)
 let charge_scan stats node rel =
-  if not (Relation.backed rel) then begin
-    let pages = Relation.pages rel in
-    stats.Stats.page_reads <- stats.Stats.page_reads + pages;
-    match node with
-    | Some n -> n.Profile.reads <- n.Profile.reads + pages
-    | None -> ()
-  end
-
-let scanning stats node rel f =
-  charge_scan stats node rel;
-  let r0 = stats.Stats.page_reads in
-  let out = f () in
-  (match node with
-  | Some n ->
-      let d = stats.Stats.page_reads - r0 in
-      if d > 0 then n.Profile.reads <- n.Profile.reads + d
-  | None -> ());
-  out
+  let pages = Relation.pages rel in
+  stats.Stats.page_reads <- stats.Stats.page_reads + pages;
+  match node with
+  | Some n -> n.Profile.reads <- n.Profile.reads + pages
+  | None -> ()
 
 let charge_probe_bytes stats node bytes =
   let pages = 1 + Stats.pages_of_bytes bytes in
@@ -87,16 +73,10 @@ let identity_projection exprs input_width =
    stored relation: its rows are distinct (relations have set semantics)
    and membership is O(1) through the relation's own tuple table. The
    set operators below exploit both. Returns the relation plus the plan
-   chain (outermost first, scan last) for profile parity.
-
-   Heap-backed relations are excluded: their scans must actually read the
-   heap so the page I/O is measured, and skipping the scan here would
-   report less I/O than the scan actually costs. *)
+   chain (outermost first, scan last) for profile parity. *)
 let rec bare_relation plan =
   match plan with
-  | Plan.Seq_scan { table; filter = None; _ }
-    when not (Relation.backed table.Catalog.tbl_relation) ->
-      Some (table.Catalog.tbl_relation, [ plan ])
+  | Plan.Seq_scan { table; filter = None; _ } -> Some (table.Catalog.tbl_relation, [ plan ])
   | Plan.Project { input; exprs; _ }
     when identity_projection exprs (Array.length (Plan.header_of input)) ->
       Option.map (fun (rel, chain) -> (rel, plan :: chain)) (bare_relation input)
@@ -125,6 +105,55 @@ let phantom_side stats parent chain rel =
   stats.Stats.page_reads <- stats.Stats.page_reads + pages;
   stats.Stats.rows_read <- stats.Stats.rows_read + n
 
+(* Hash aggregation over materialized rows: GROUP BY semantics, groups
+   in order of first appearance. *)
+let aggregate_rows rows group_keys outputs =
+  let groups = Key_tbl.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun row ->
+      let k = List.map (fun i -> row.(i)) group_keys in
+      match Key_tbl.find_opt groups k with
+      | Some members -> members := row :: !members
+      | None ->
+          Key_tbl.add groups k (ref [ row ]);
+          order := k :: !order)
+    rows;
+  let fold_group members =
+    Array.map
+      (fun output ->
+        match output with
+        | Plan.O_group i -> (List.hd members).(i)
+        | Plan.O_count_star | Plan.O_count _ -> Value.Int (List.length members)
+        | Plan.O_sum i ->
+            Value.Int
+              (List.fold_left
+                 (fun acc r -> match r.(i) with Value.Int n -> acc + n | Value.Str _ -> acc)
+                 0 members)
+        | Plan.O_min i ->
+            List.fold_left
+              (fun acc r -> if Value.compare r.(i) acc < 0 then r.(i) else acc)
+              (List.hd members).(i) members
+        | Plan.O_max i ->
+            List.fold_left
+              (fun acc r -> if Value.compare r.(i) acc > 0 then r.(i) else acc)
+              (List.hd members).(i) members)
+      outputs
+  in
+  if group_keys = [] then
+    if rows = [] then
+      (* empty input, one conceptual group: counts are 0; min/max/sum are
+         undefined without NULLs, so such queries produce no row *)
+      if
+        Array.for_all
+          (function Plan.O_count_star | Plan.O_count _ -> true | _ -> false)
+          outputs
+      then [ Array.map (fun _ -> Value.Int 0) outputs ]
+      else []
+    else [ fold_group rows ]
+  else
+    List.rev_map (fun k -> fold_group !(Key_tbl.find groups k)) !order
+
 let compile stats plan =
   let produced n = stats.Stats.rows_read <- stats.Stats.rows_read + n in
   let rec comp plan : Profile.t option -> Batch.t =
@@ -133,12 +162,9 @@ let compile stats plan =
         let rel = table.Catalog.tbl_relation in
         let keep = compile_filter filter in
         fun node ->
-          let out =
-            scanning stats node rel (fun () ->
-                let out = Batch.create ~capacity:(Relation.cardinal rel) () in
-                Relation.iter (fun row -> if keep row then Batch.push out row) rel;
-                out)
-          in
+          charge_scan stats node rel;
+          let out = Batch.create ~capacity:(Relation.cardinal rel) () in
+          Relation.iter (fun row -> if keep row then Batch.push out row) rel;
           produced (Batch.length out);
           out
     | Plan.Index_scan { index; key; filter; _ } ->
@@ -282,31 +308,31 @@ let compile stats plan =
         let keep = compile_filter residual in
         fun node ->
           let lb = lf node in
+          charge_scan stats node rel;
           let survives =
-            scanning stats node rel (fun () ->
-                match key_inner with
-                | [] ->
-                    (* no equality keys: test every inner row *)
-                    let inner_rows = Relation.to_list rel in
-                    fun l -> not (List.exists (fun r -> keep (concat_rows l r)) inner_rows)
-                | _ ->
-                    let buckets = Key_tbl.create ((2 * Relation.cardinal rel) + 1) in
-                    Relation.iter
-                      (fun r ->
-                        let k = List.map (fun i -> r.(i)) key_inner in
-                        match Key_tbl.find_opt buckets k with
-                        | Some bucket -> Batch.push bucket r
-                        | None ->
-                            let bucket = Batch.create ~capacity:4 () in
-                            Batch.push bucket r;
-                            Key_tbl.add buckets k bucket)
-                      rel;
-                    fun l ->
-                      let k = List.map (fun i -> l.(i)) key_outer in
-                      (match Key_tbl.find_opt buckets k with
-                      | None -> true
-                      | Some bucket ->
-                          not (Batch.fold (fun hit r -> hit || keep (concat_rows l r)) false bucket)))
+            match key_inner with
+            | [] ->
+                (* no equality keys: test every inner row *)
+                let inner_rows = Relation.to_list rel in
+                fun l -> not (List.exists (fun r -> keep (concat_rows l r)) inner_rows)
+            | _ ->
+                let buckets = Key_tbl.create ((2 * Relation.cardinal rel) + 1) in
+                Relation.iter
+                  (fun r ->
+                    let k = List.map (fun i -> r.(i)) key_inner in
+                    match Key_tbl.find_opt buckets k with
+                    | Some bucket -> Batch.push bucket r
+                    | None ->
+                        let bucket = Batch.create ~capacity:4 () in
+                        Batch.push bucket r;
+                        Key_tbl.add buckets k bucket)
+                  rel;
+                fun l ->
+                  let k = List.map (fun i -> l.(i)) key_outer in
+                  (match Key_tbl.find_opt buckets k with
+                  | None -> true
+                  | Some bucket ->
+                      not (Batch.fold (fun hit r -> hit || keep (concat_rows l r)) false bucket))
           in
           let out = Batch.create ~capacity:(Batch.length lb) () in
           Batch.iter (fun l -> if survives l then Batch.push out l) lb;
@@ -345,7 +371,7 @@ let compile stats plan =
               out)
     | Plan.Aggregate { input; group_keys; outputs; _ } ->
         let f = child input in
-        fun node -> Batch.of_list (Executor.aggregate_rows (Batch.to_list (f node)) group_keys outputs)
+        fun node -> Batch.of_list (aggregate_rows (Batch.to_list (f node)) group_keys outputs)
     | Plan.Distinct p ->
         if bare_relation p <> None then
           (* relation rows are already a set: DISTINCT is the identity *)

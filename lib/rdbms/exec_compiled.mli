@@ -3,10 +3,12 @@
     with no plan-AST dispatch — built for the LFP inner loop, where the
     same handful of prepared plans execute hundreds of times.
 
-    Contract, checked by a differential battery against the reference
-    interpreter {!Executor}: same result rows in the same order, same
-    {!Stats} charges at the same points, and the same EXPLAIN ANALYZE
-    profile trees. *)
+    Contract, checked by a differential battery against a tuple-at-a-time
+    reference interpreter that lives with the tests: same result rows in
+    the same order, same {!Stats} charges at the same points, and the same
+    EXPLAIN ANALYZE profile trees. Every operator charges the simulated
+    page-I/O cost model (see {!Stats}); a scan is charged the relation's
+    {!Relation.pages} whether or not a heap backs it. *)
 
 type t
 (** A compiled plan. The engine {!Stats} to charge are captured at compile
@@ -25,3 +27,9 @@ val run_profiled : t -> Tuple.t list * Profile.t
 val run_profiled_batch : t -> Batch.t * Profile.t
 (** Like {!run}, but also builds the per-operator {!Profile.t} tree, whose
     counter sums equal the statement's Stats delta. *)
+
+val aggregate_rows : Tuple.t list -> int list -> Plan.agg_output array -> Tuple.t list
+(** Hash aggregation over materialized rows (GROUP BY semantics, group
+    order = first appearance; empty [group_keys] = one group, which on
+    empty input yields a single zero row iff every output is a count).
+    The reference interpreter aggregates with it too. *)

@@ -1,7 +1,7 @@
 (* A slotted-page heap file: the on-disk backing store for one relation.
 
    All page access goes through the shared buffer pool, so every cold
-   read and every dirty-page writeback is a measured, charged I/O. Rows
+   read and every dirty-page writeback shows in the pool's counters. Rows
    are addressed by a location [page_no * 2^16 + slot]; appends fill the
    last page and extend the file one page at a time. Freed space is not
    reused in place — TRUNCATE and checkpoint-recovery rebuilds compact

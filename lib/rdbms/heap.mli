@@ -1,6 +1,7 @@
 (** A slotted-page heap file backing one relation. All page access goes
     through the shared {!Buffer_pool}, so cold reads and dirty-page
-    writebacks are measured, charged I/O. Rows are addressed by a stable
+    writebacks show in the pool's measured counters (the simulated
+    {!Stats} charges do not depend on them). Rows are addressed by a stable
     location ([page_no * 2^16 + slot]); freed space is not reused in
     place (TRUNCATE and checkpoint rebuilds compact). *)
 

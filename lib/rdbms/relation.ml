@@ -1,6 +1,6 @@
 (* Heap backing: rows are mirrored into a slotted-page heap file, and
-   scans read through it (so their page I/O is measured by the buffer
-   pool). The in-memory side stays authoritative for ids and the tuple
+   scans read through it (so the buffer pool counts their page hits and
+   misses). The in-memory side stays authoritative for ids and the tuple
    table — those model the in-memory hash indexes of the simulated
    engine. [bk_locs] maps a row id to its heap location (-1 = none). *)
 type backing = { bk_heap : Heap.t; mutable bk_locs : int array }
@@ -60,13 +60,9 @@ let byte_size t = t.bytes
 let backed t = t.backing <> None
 let heap t = Option.map (fun b -> b.bk_heap) t.backing
 
-(* Disk-backed relations report their real heap page count (including
-   slot overhead and dead space); in-memory ones simulate it from live
-   bytes. An empty relation occupies zero pages either way. *)
-let pages t =
-  match t.backing with
-  | Some b -> Heap.page_count b.bk_heap
-  | None -> Stats.pages_of_bytes t.bytes
+(* The cost model's page count, from live bytes, whether or not a heap
+   backs the relation. An empty relation occupies zero pages. *)
+let pages t = Stats.pages_of_bytes t.bytes
 
 let mem t row = Tuple_tbl.mem t.ids row
 
@@ -257,9 +253,9 @@ let clear t =
   List.iter (fun f -> f ()) t.clear_obs
 
 (* Whole-relation scans on a backed relation go through the heap, so
-   their page I/O is real: pool misses, not byte arithmetic. Id-addressed
-   access ([iteri], [get_row]) stays on the in-memory mirror — it models
-   the in-memory index plumbing, which is never charged per page. *)
+   the buffer pool sees their page traffic. Id-addressed access
+   ([iteri], [get_row]) stays on the in-memory mirror — it models the
+   in-memory index plumbing. *)
 let iter f t =
   match t.backing with
   | Some b -> Heap.iter (fun _ row -> f row) b.bk_heap

@@ -22,13 +22,13 @@ val byte_size : t -> int
 (** Simulated on-disk byte footprint of live rows. *)
 
 val pages : t -> int
-(** Page count: the real heap page count for a disk-backed relation
-    (including slot overhead and unreclaimed dead space), otherwise the
-    simulated {!Stats.pages_of_bytes} of the live bytes. An empty
-    relation occupies zero pages. *)
+(** Simulated page count, {!Stats.pages_of_bytes} of the live bytes, for
+    every relation: a heap backing does not change it (the heap's own
+    page count, with slot overhead and dead space, is {!Heap.page_count}).
+    An empty relation occupies zero pages. *)
 
 val backed : t -> bool
-(** Whether a heap backing is attached. *)
+(** Whether a heap backing is attached. No charge depends on it. *)
 
 val heap : t -> Heap.t option
 

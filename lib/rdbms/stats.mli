@@ -1,10 +1,15 @@
 (** Execution counters and the simulated page-I/O cost model.
 
-    The paper measured a disk-based commercial DBMS; this engine is in
-    memory, so in addition to wall-clock time every operator charges
-    simulated page reads/writes as a hardware-independent cost metric.
-    Pages are {!page_size} bytes; a relation of [n] bytes occupies
-    [ceil (n / page_size)] pages (at least one when non-empty). *)
+    The paper measured a disk-based commercial DBMS; this engine keeps its
+    rows in memory, so in addition to wall-clock time every operator
+    charges simulated page reads/writes as a hardware-independent cost
+    metric. Pages are {!page_size} bytes; a relation of [n] bytes occupies
+    [ceil (n / page_size)] pages (at least one when non-empty).
+
+    [page_reads], [page_writes] and [index_probes] are only these
+    simulated charges, by the same formula whether or not a table lives
+    in a heap file. Measured I/O is a separate family that is never added
+    in: the {!Buffer_pool}'s own hits, misses and writebacks. *)
 
 val page_size : int
 (** 4096 bytes. *)

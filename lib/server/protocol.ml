@@ -164,8 +164,23 @@ let substitute template args =
   let n = String.length template in
   let buf = Buffer.create (n + 16) in
   let used = Array.make (Array.length args) false in
+  (* the index just past the quote closing a literal whose body starts at
+     [j] ('' is an escaped quote, not the end); an unclosed literal runs
+     to the end of the template *)
+  let rec literal_end j =
+    if j >= n then n
+    else if template.[j] <> '\'' then literal_end (j + 1)
+    else if j + 1 < n && template.[j + 1] = '\'' then literal_end (j + 2)
+    else j + 1
+  in
   let rec go i =
     if i >= n then Ok ()
+    else if template.[i] = '\'' then begin
+      (* a quoted literal is copied as is: a ?N inside it is text *)
+      let j = literal_end (i + 1) in
+      Buffer.add_substring buf template i (j - i);
+      go j
+    end
     else if template.[i] = '?' && i + 1 < n && template.[i + 1] >= '1' && template.[i + 1] <= '9'
     then begin
       (* multi-digit placeholder indexes *)

@@ -31,9 +31,10 @@ val terminator : string
 
 val substitute : string -> string list -> (string, string) result
 (** [substitute template args] replaces [?1]..[?N] with the arguments as
-    SQL literals (integers bare, everything else quoted). Errors on a
-    placeholder past the argument list or an argument no placeholder
-    uses. *)
+    SQL literals (integers bare, everything else quoted). Single-quoted
+    literals in the template, [''] escapes included, are left alone: a
+    [?N] inside one is text. Errors on a placeholder past the argument
+    list or an argument no placeholder uses. *)
 
 val sql_literal : string -> string
 (** The SQL literal form substitution uses for one argument. *)

@@ -62,18 +62,18 @@ bench_smoke() {
   rm -rf "$SMOKE"
   mkdir -p "$SMOKE"
   (cd "$SMOKE" && ../default/bench/main.exe wal cache profile joins updates storage server quick)
-  for f in profile joins updates storage server; do
+  for f in wal cache profile joins updates storage server; do
     test -s "$SMOKE/BENCH_$f.json" || { echo "BENCH_$f.json missing/empty"; exit 1; }
   done
 }
 gate "bench smoke (quick scale)" bench_smoke
 
 storage_gate() {
-  # paged storage: the cold skewed join's measured page_reads must land
-  # within 2x of the planner's cost estimate, and the dataset (4x the
-  # buffer pool) must still complete with correct answers
+  # paged storage: the cold skewed join's simulated page_reads must land
+  # within 2x of the cost estimate, and the dataset (4x the buffer pool)
+  # must still complete with correct answers
   grep -q '"gate_cold_within_2x": true' "$SMOKE/BENCH_storage.json" \
-    || { echo "storage bench: measured cold page_reads not within 2x of cost estimate"; exit 1; }
+    || { echo "storage bench: cold simulated page_reads not within 2x of the cost estimate"; exit 1; }
   grep -q '"gate_capacity_4x": true' "$SMOKE/BENCH_storage.json" \
     || { echo "storage bench: dataset 4x the pool did not complete correctly"; exit 1; }
   grep -q '"gate_lfp_answers": true' "$SMOKE/BENCH_storage.json" \

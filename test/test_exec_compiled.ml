@@ -1,6 +1,6 @@
 (* Differential tests for the compiled executor against the reference
-   interpreter ({!Rdbms.Executor}), which the engine does not run: it
-   exists as this battery's oracle.
+   interpreter ({!Executor}, in this directory), which the engine does
+   not run: it exists as this battery's oracle.
 
    The contract is stronger than "same answers": for every plan shape the
    planner can produce, the closure-compiled executor must return the same
@@ -18,7 +18,6 @@ module Profile = Rdbms.Profile
 module Value = Rdbms.Value
 module Sql_ast = Rdbms.Sql_ast
 module Planner = Rdbms.Planner
-module Executor = Rdbms.Executor
 module Exec_compiled = Rdbms.Exec_compiled
 module Rng = Dkb_util.Rng
 module Session = Core.Session

@@ -73,6 +73,26 @@ let test_placeholder_overflow () =
       | Ok _ -> Alcotest.fail "overflowing placeholder accepted");
       ok (Client.ping c))
 
+(* A ?N inside a quoted literal of the template is text: only the
+   placeholder outside quotes takes the argument, over the wire too. *)
+let test_placeholder_in_literal () =
+  let template = "SELECT id FROM t WHERE name = '?1' AND id = ?1" in
+  Alcotest.(check (result string string))
+    "literal left alone" (Ok "SELECT id FROM t WHERE name = '?1' AND id = 5")
+    (Protocol.substitute template [ "5" ]);
+  Alcotest.(check (result string string))
+    "'' escapes stay inside the literal"
+    (Ok "SELECT 'it''s ?1', 'x' FROM t WHERE id = 7")
+    (Protocol.substitute "SELECT 'it''s ?1', ?2 FROM t WHERE id = ?1" [ "7"; "x" ]);
+  with_server (fun _engine port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      ignore (ok (Client.sql c "CREATE TABLE t (id integer, name char)"));
+      ignore (ok (Client.sql c "INSERT INTO t VALUES (5, '?1'), (5, '5'), (6, '?1')"));
+      ignore (ok (Client.prepare c "p" template));
+      let r = ok (Client.exec c "p" [ "5" ]) in
+      Alcotest.(check (list (list string))) "only the row named '?1'" [ [ "5" ] ] (Client.rows r))
+
 (* An integer literal too large for an int is a lex error: the server
    answers ERR and keeps serving the connection. *)
 let test_integer_literal_overflow () =
@@ -328,6 +348,7 @@ let () =
         [
           Alcotest.test_case "protocol basics" `Quick test_protocol_basics;
           Alcotest.test_case "placeholder overflow" `Quick test_placeholder_overflow;
+          Alcotest.test_case "placeholder in a literal" `Quick test_placeholder_in_literal;
           Alcotest.test_case "writer gating" `Quick test_writer_gating;
           Alcotest.test_case "snapshot over wire" `Quick test_snapshot_over_wire;
           Alcotest.test_case "disconnect cleanup" `Quick test_disconnect_cleans_up;

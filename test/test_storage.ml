@@ -4,7 +4,9 @@
    evicted (its bytes survive arbitrary paging traffic), and the miss
    count of a cold scan equals the number of distinct pages read. The
    heap properties: locations are stable, a random append/delete history
-   agrees with a list model, and contents survive close/reopen. *)
+   agrees with a list model, and contents survive close/reopen. The
+   ledger: a statement charges the same simulated page I/O whether or
+   not its tables live in heaps, and only the pool counts measured I/O. *)
 
 module V = Rdbms.Value
 module D = Rdbms.Datatype
@@ -271,11 +273,14 @@ let test_relation_attach_detach () =
   let h = Heap.create ~pool path in
   R.attach r h `Overwrite;
   Alcotest.(check bool) "backed" true (R.backed r);
-  Alcotest.(check int) "pages = heap pages" (Heap.page_count h) (R.pages r);
+  Alcotest.(check int) "pages = simulated pages of the live bytes"
+    (Stats.pages_of_bytes (R.byte_size r)) (R.pages r);
   Alcotest.(check int) "to_list reads through the heap" 200 (List.length (R.to_list r));
   ignore (R.insert r (row 999 "new"));
   ignore (R.delete r (row 0 "v"));
   Alcotest.(check int) "heap live tracks" 200 (Heap.live h);
+  Alcotest.(check int) "pages follow the live bytes"
+    (Stats.pages_of_bytes (R.byte_size r)) (R.pages r);
   Alcotest.(check (list string)) "relation audit clean" [] (R.check r);
   R.detach r;
   Alcotest.(check bool) "detached keeps rows in memory" true (R.cardinal r = 200);
@@ -283,36 +288,136 @@ let test_relation_attach_detach () =
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
-(* Engine-level: measured page_reads, TRUNCATE/DROP frame accounting *)
+(* Engine-level: the two I/O ledgers, TRUNCATE/DROP frame accounting *)
 
-let storage_engine dir =
+let insert_t_sql =
+  Printf.sprintf "INSERT INTO t VALUES %s"
+    (String.concat ", " (List.init 600 (fun i -> Printf.sprintf "(%d, 'r%d')" i i)))
+
+let storage_engine ?pool_pages dir =
   let e = E.create () in
-  E.attach_storage e ~dir ();
+  E.attach_storage e ~dir ?pool_pages ();
   ignore (E.exec e "CREATE TABLE t (a integer, b char)");
-  ignore
-    (E.exec e
-       (Printf.sprintf "INSERT INTO t VALUES %s"
-          (String.concat ", " (List.init 600 (fun i -> Printf.sprintf "(%d, 'r%d')" i i)))));
+  ignore (E.exec e insert_t_sql);
   e
 
+let relation e name =
+  (Option.get (Rdbms.Catalog.find_table (E.catalog e) name)).Rdbms.Catalog.tbl_relation
+
+(* Measured I/O is the pool's: a cold scan misses once per heap page, a
+   warm one (the table fits in the default pool) not at all. The
+   simulated charge is the relation's page count both times. The scan
+   projects a column: COUNT(star) over a stored table answers from its
+   cardinality without reading the heap. *)
 let test_engine_measured_reads () =
   let dir = tmpdir "dkb_test_store_eng" in
   let e = storage_engine dir in
   let heap = List.assoc "t" (E.storage_heaps e) in
+  let pool = Option.get (E.buffer_pool e) in
   let pages = Heap.page_count heap in
   Alcotest.(check bool) "multi-page table" true (pages > 1);
+  let simulated = R.pages (relation e "t") in
+  let scan () =
+    let before = Stats.copy (E.stats e) and m0 = Pool.misses pool in
+    (match E.exec e "SELECT a FROM t" with
+    | E.Rows { rows; _ } -> Alcotest.(check int) "scan sees every row" 600 (List.length rows)
+    | _ -> Alcotest.fail "SELECT returned no rows");
+    ((Stats.diff (E.stats e) before).Stats.page_reads, Pool.misses pool - m0)
+  in
   E.drop_page_cache e;
-  let stats = E.stats e in
-  let before = Stats.copy stats in
-  Alcotest.(check int) "scan sees every row" 600 (E.scalar_int e "SELECT COUNT(*) FROM t");
-  let cold = (Stats.diff stats before).Stats.page_reads in
-  Alcotest.(check int) "cold scan reads exactly the heap pages" pages cold;
-  let before2 = Stats.copy stats in
-  ignore (E.scalar_int e "SELECT COUNT(*) FROM t");
-  let warm = (Stats.diff stats before2).Stats.page_reads in
-  Alcotest.(check int) "warm scan reads nothing (fits in the pool)" 0 warm;
+  let cold_reads, cold_misses = scan () in
+  Alcotest.(check int) "cold scan misses every heap page" pages cold_misses;
+  Alcotest.(check int) "cold scan charges the simulated pages" simulated cold_reads;
+  let warm_reads, warm_misses = scan () in
+  Alcotest.(check int) "warm scan misses nothing (fits in the pool)" 0 warm_misses;
+  Alcotest.(check int) "warm scan charges the simulated pages" simulated warm_reads;
+  let m0 = Pool.misses pool and h0 = Pool.hits pool in
+  Alcotest.(check int) "COUNT(*) answers from the cardinality" 600
+    (E.scalar_int e "SELECT COUNT(*) FROM t");
+  Alcotest.(check (pair int int)) "COUNT(*) reads no heap page" (0, 0)
+    (Pool.misses pool - m0, Pool.hits pool - h0);
   Alcotest.(check (list string)) "invariants clean"
     [] (List.map Rdbms.Invariants.violation_to_string (E.check_invariants e));
+  E.close_storage e
+
+(* One statement list, run on an in-memory engine and on one whose
+   tables live in heaps behind a 2-frame pool: every statement charges
+   the same simulated page_reads, page_writes and index_probes on both,
+   because the cost model does not ask where a table lives. *)
+let ledger_statements =
+  [
+    ("scan", "SELECT a, b FROM t");
+    ("count", "SELECT COUNT(*) FROM t");
+    ("hash join", "SELECT t.a, u.c FROM t, u WHERE t.a = u.a");
+    ("index probe", "SELECT a FROM t WHERE b = 'r7'");
+    ("create table", "CREATE TABLE w (a integer, b char)");
+    ("insert select", "INSERT INTO w SELECT a, b FROM t WHERE a < 300");
+    ("insert except", "INSERT INTO w SELECT a, b FROM t EXCEPT SELECT a, b FROM w");
+    ("delete where", "DELETE FROM w WHERE a < 100");
+    ("update", "UPDATE w SET b = 'z' WHERE a < 150");
+    ("analyze", "ANALYZE");
+    ("delete in", "DELETE FROM w WHERE (a, b) IN (SELECT a, b FROM t WHERE a < 200)");
+    ("truncate", "TRUNCATE TABLE w");
+  ]
+
+let ledger_setup e =
+  List.iter
+    (fun sql -> ignore (E.exec e sql))
+    [
+      "CREATE TABLE t (a integer, b char)";
+      insert_t_sql;
+      "CREATE INDEX t_b ON t (b)";
+      "CREATE TABLE u (a integer, c char)";
+      Printf.sprintf "INSERT INTO u VALUES %s"
+        (String.concat ", " (List.init 200 (fun i -> Printf.sprintf "(%d, 'u%d')" (3 * i) i)));
+    ]
+
+let test_engine_ledger_ignores_storage () =
+  let dir = tmpdir "dkb_test_store_ledger" in
+  let mem = E.create () and disk = E.create () in
+  E.attach_storage disk ~dir ~pool_pages:2 ();
+  ledger_setup mem;
+  ledger_setup disk;
+  Alcotest.(check bool) "t spans more pages than the pool holds" true
+    (Heap.page_count (List.assoc "t" (E.storage_heaps disk)) > 2);
+  Alcotest.(check bool) "the join is a hash join" true
+    (Astring.String.is_infix ~affix:"HashJoin" (E.explain mem "SELECT t.a, u.c FROM t, u WHERE t.a = u.a"));
+  let charge e sql =
+    let before = Stats.copy (E.stats e) in
+    let result =
+      match E.exec e sql with
+      | E.Rows { rows; _ } -> Printf.sprintf "%d rows" (List.length rows)
+      | E.Affected n -> Printf.sprintf "%d affected" n
+      | E.Done -> "done"
+    in
+    let d = Stats.diff (E.stats e) before in
+    (result, d.Stats.page_reads, d.Stats.page_writes, d.Stats.index_probes)
+  in
+  let pool = Option.get (E.buffer_pool disk) in
+  List.iter
+    (fun (what, sql) ->
+      let r_mem, reads_mem, writes_mem, probes_mem = charge mem sql in
+      let r_disk, reads_disk, writes_disk, probes_disk = charge disk sql in
+      Alcotest.(check string) (what ^ ": same result") r_mem r_disk;
+      Alcotest.(check int) (what ^ ": page_reads") reads_mem reads_disk;
+      Alcotest.(check int) (what ^ ": page_writes") writes_mem writes_disk;
+      Alcotest.(check int) (what ^ ": index_probes") probes_mem probes_disk)
+    ledger_statements;
+  Alcotest.(check bool) "the heap engine did page through its pool" true (Pool.misses pool > 0);
+  E.close_storage disk
+
+(* The sanitizer's audit reads every heap page through the pool; the
+   pool's measured counters must not show it. *)
+let test_engine_audit_leaves_pool_counters () =
+  let dir = tmpdir "dkb_test_store_audit" in
+  let e = storage_engine ~pool_pages:2 dir in
+  ignore (E.exec e "SELECT a FROM t");
+  let pool = Option.get (E.buffer_pool e) in
+  let counters () = (Pool.hits pool, Pool.misses pool, Pool.writebacks pool) in
+  let before = counters () in
+  Alcotest.(check (list string)) "invariants clean"
+    [] (List.map Rdbms.Invariants.violation_to_string (E.check_invariants e));
+  Alcotest.(check (triple int int int)) "hits, misses, writebacks unchanged" before (counters ());
   E.close_storage e
 
 let test_engine_truncate_drop_no_leak () =
@@ -322,8 +427,7 @@ let test_engine_truncate_drop_no_leak () =
   let heap = List.assoc "t" (E.storage_heaps e) in
   Alcotest.(check int) "truncate freed the heap" 0 (Heap.page_count heap);
   Alcotest.(check int) "truncate freed the frames" 0 (Heap.resident heap);
-  Alcotest.(check int) "truncated relation charges zero pages"
-    0 (R.pages (Option.get (Rdbms.Catalog.find_table (E.catalog e) "t")).Rdbms.Catalog.tbl_relation);
+  Alcotest.(check int) "truncated relation charges zero pages" 0 (R.pages (relation e "t"));
   ignore (E.exec e "INSERT INTO t VALUES (1, 'x')");
   ignore (E.exec e "DROP TABLE t");
   Alcotest.(check bool) "drop removed the heap file" false
@@ -375,6 +479,10 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "measured reads" `Quick test_engine_measured_reads;
+          Alcotest.test_case "simulated charges ignore storage" `Quick
+            test_engine_ledger_ignores_storage;
+          Alcotest.test_case "audit leaves pool counters" `Quick
+            test_engine_audit_leaves_pool_counters;
           Alcotest.test_case "truncate/drop frame accounting" `Quick
             test_engine_truncate_drop_no_leak;
           Alcotest.test_case "reopen directory" `Quick test_engine_reopen_directory;
