@@ -507,25 +507,22 @@ let ensure_tables t plan ~nodes ~bases =
 let clear t name = Engine.clear_table t.engine name
 
 (* Evaluate one node from scratch into its (already truncated) tables:
-   facts and exit rules, then, in a recursive clique, the semi-naive loop
-   seeded with everything so far. *)
+   facts and exit rules, which in a recursive clique are the seed of the
+   semi-naive loop and go to the candidate tables it absorbs. *)
 let eval_node t plan { label; members; facts; exit_rules; rec_rules; _ } =
+  let recursive = rec_rules <> [] in
+  let target m = if recursive then Names.new_delta (Names.mat m) else Names.mat m in
+  if recursive then List.iter (fun m -> clear t (target m)) members;
   List.iter
     (fun (m, fs) ->
       List.iter
-        (fun f -> exec t ("INSERT INTO " ^ Names.mat m ^ " " ^ Datalog.Sqlgen.fact_values f))
+        (fun f -> exec t ("INSERT INTO " ^ target m ^ " " ^ Datalog.Sqlgen.fact_values f))
         fs)
     facts;
   List.iter
-    (fun (m, r) -> exec t (Printf.sprintf "INSERT INTO %s %s" (Names.mat m) (rule_select plan r)))
+    (fun (m, r) -> exec t (Printf.sprintf "INSERT INTO %s %s" (target m) (rule_select plan r)))
     exit_rules;
-  if rec_rules <> [] then begin
-    List.iter
-      (fun m ->
-        let mt = Names.mat m in
-        clear t (Names.delta mt);
-        exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.delta mt) mt))
-      members;
+  if recursive then begin
     let rules =
       clique_delta_rules plan ~members ~target:Names.mat
         ~delta_table:(fun m -> Names.delta (Names.mat m))
@@ -550,65 +547,36 @@ let refresh_plan t plan = refresh_nodes t plan plan.nodes
 (* ------------------------------------------------------------------ *)
 (* Per-node maintenance: deletion phase *)
 
-(* The semi-naive member step, by hand, for a clique whose [cand__]
-   tables [seed] fills: each member's delta becomes [cand EXCEPT mat],
-   which the affected count sizes, and is absorbed into [mat__m] and,
-   with [sink], into [sink m]. Leaves the deltas as the seed
-   {!Runtime.resume_seminaive} expects; returns whether any member
-   gained a tuple. *)
-let seed_members t ?sink members seed =
-  List.iter
-    (fun m ->
-      let mt = Names.mat m in
-      clear t (Names.delta mt);
-      clear t (Names.new_delta mt))
-    members;
-  seed ();
-  List.fold_left
-    (fun any m ->
-      let mt = Names.mat m and delta = Names.delta (Names.mat m) in
-      match
-        Engine.exec t.engine
-          (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" delta
-             (Names.new_delta mt) mt)
-      with
-      | Engine.Affected n when n > 0 ->
-          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" mt delta);
-          Option.iter
-            (fun sink -> exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (sink m) delta))
-            sink;
-          true
-      | _ -> any)
-    false members
+(* Empty the candidate tables of [tables], where a seed for
+   {!Runtime.resume_seminaive} is about to go. *)
+let clear_candidates t tables = List.iter (fun tbl -> clear t (Names.new_delta tbl)) tables
 
 (* Deletions: over-delete everything a deleted tuple could have
    supported, rederive the survivors from what remains, and emit the true
    deletions. *)
 let dred_del t plan ~del_changed ~chg ~rederived { label; members; exit_rules; rec_rules; _ } =
   let upstream_changed q' = Hashtbl.mem del_changed q' && not (List.mem q' members) in
+  let recursive = rec_rules <> [] in
   List.iter (fun m -> clear t (Names.overdel m)) members;
   (* seed: derivations that used at least one deleted upstream tuple;
-     clique-member occurrences read the (still old) materialization *)
+     clique-member occurrences read the (still old) materialization. In a
+     recursive clique the seed goes to the (empty) over-deleted sets'
+     candidate tables, for the loop to absorb and propagate. *)
+  let target m = if recursive then Names.new_delta (Names.overdel m) else Names.overdel m in
+  if recursive then clear_candidates t (List.map Names.overdel members);
   let seeded = ref false in
   List.iter
     (fun (head, rule) ->
       List.iter
         (fun sql ->
-          match Engine.exec t.engine ("INSERT INTO " ^ Names.overdel head ^ " " ^ sql) with
+          match Engine.exec t.engine ("INSERT INTO " ^ target head ^ " " ^ sql) with
           | Engine.Affected n when n > 0 -> seeded := true
           | _ -> ())
         (subset_variants plan ~changed:upstream_changed ~delta_of:Names.del_delta rule))
     (exit_rules @ rec_rules);
   if !seeded then begin
-    (* propagate over-deletion through the recursive rules (the loop
-       truncates the candidate tables itself) *)
-    if rec_rules <> [] then begin
-      List.iter
-        (fun m ->
-          let od = Names.overdel m in
-          clear t (Names.delta od);
-          exec t (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" (Names.delta od) od))
-        members;
+    (* propagate over-deletion through the recursive rules *)
+    if recursive then begin
       let rules =
         clique_delta_rules plan ~members ~target:Names.overdel
           ~delta_table:(fun m -> Names.delta (Names.overdel m))
@@ -633,29 +601,24 @@ let dred_del t plan ~del_changed ~chg ~rederived { label; members; exit_rules; r
     let post_delete = card_total () in
     (* rederive the survivors semi-naively: every rule guarded by the
        over-deleted set of its head runs once over the post-deletion
-       state, then the guarded delta variants of the recursive rules
-       resume the loop from what came back *)
-    let first_pass () =
-      List.iter
-        (fun (head, rule) ->
-          let guarded, g = guarded_rule head rule in
-          let override j = if j = g then Some (Names.overdel head) else None in
-          exec t
-            (Printf.sprintf "INSERT INTO %s %s"
-               (Names.new_delta (Names.mat head))
-               (rule_select plan ~lead:(( = ) g) ~override guarded)))
-        (exit_rules @ rec_rules)
+       state, seeding the candidate tables with what comes back, then the
+       guarded delta variants of the recursive rules resume the loop *)
+    clear_candidates t (List.map Names.mat members);
+    List.iter
+      (fun (head, rule) ->
+        let guarded, g = guarded_rule head rule in
+        let override j = if j = g then Some (Names.overdel head) else None in
+        exec t
+          (Runtime.insert_new (Names.mat head) (rule_select plan ~lead:(( = ) g) ~override guarded)))
+      (exit_rules @ rec_rules);
+    let rules =
+      clique_delta_rules plan ~guarded:true ~members ~target:Names.mat
+        ~delta_table:(fun m -> Names.delta (Names.mat m))
+        ~member_table:Names.mat rec_rules
     in
-    if seed_members t members first_pass && rec_rules <> [] then begin
-      let rules =
-        clique_delta_rules plan ~guarded:true ~members ~target:Names.mat
-          ~delta_table:(fun m -> Names.delta (Names.mat m))
-          ~member_table:Names.mat rec_rules
-      in
-      ignore
-        (Runtime.resume_seminaive t.engine ~label:("maint:" ^ label ^ ":rederive")
-           ~members:(List.map Names.mat members) ~rules ())
-    end;
+    ignore
+      (Runtime.resume_seminaive t.engine ~label:("maint:" ^ label ^ ":rederive")
+         ~members:(List.map Names.mat members) ~rules ());
     rederived := !rederived + (card_total () - post_delete);
     (* the true deletions: over-deleted and not rederived *)
     List.iter
@@ -681,26 +644,23 @@ let dred_del t plan ~del_changed ~chg ~rederived { label; members; exit_rules; r
    into [insd__m]. *)
 let dred_ins t plan ~ins_changed ~chg { label; members; exit_rules; rec_rules; _ } =
   let upstream_changed q' = Hashtbl.mem ins_changed q' && not (List.mem q' members) in
-  let seed () =
-    List.iter
-      (fun (head, rule) ->
-        List.iter
-          (fun sql -> exec t ("INSERT INTO " ^ Names.new_delta (Names.mat head) ^ " " ^ sql))
-          (subset_variants plan ~changed:upstream_changed ~delta_of:Names.ins_delta rule))
-      (exit_rules @ rec_rules)
+  clear_candidates t (List.map Names.mat members);
+  List.iter
+    (fun (head, rule) ->
+      List.iter
+        (fun sql -> exec t (Runtime.insert_new (Names.mat head) sql))
+        (subset_variants plan ~changed:upstream_changed ~delta_of:Names.ins_delta rule))
+    (exit_rules @ rec_rules);
+  let rules =
+    clique_delta_rules plan ~members ~target:Names.mat
+      ~delta_table:(fun m -> Names.delta (Names.mat m))
+      ~member_table:Names.mat rec_rules
   in
-  if seed_members t ~sink:Names.ins_delta members seed && rec_rules <> [] then begin
-    let rules =
-      clique_delta_rules plan ~members ~target:Names.mat
-        ~delta_table:(fun m -> Names.delta (Names.mat m))
-        ~member_table:Names.mat rec_rules
-    in
-    ignore
-      (Runtime.resume_seminaive t.engine ~label:("maint:" ^ label ^ ":insert")
-         ~members:(List.map Names.mat members) ~rules
-         ~accumulate:(fun mt -> Some (Names.ins_delta (Names.strip_decorations mt)))
-         ())
-  end;
+  ignore
+    (Runtime.resume_seminaive t.engine ~label:("maint:" ^ label ^ ":insert")
+       ~members:(List.map Names.mat members) ~rules
+       ~accumulate:(fun mt -> Some (Names.ins_delta (Names.strip_decorations mt)))
+       ());
   List.iter
     (fun m ->
       let n = Engine.table_cardinality t.engine (Names.ins_delta m) in

@@ -76,20 +76,22 @@ let end_iteration ctx ~label ~index ~deltas (t0, io_before) =
       ip_ms = Timer.now_ms () -. t0;
     }
 
-let exec ctx bucket sql =
-  Timer.Phases.record ctx.phases bucket (fun () ->
-      with_phase_io ctx bucket (fun () -> ignore (Engine.exec ctx.engine sql)))
+(* Run [f] as a step of [bucket]: its wall time and simulated I/O are
+   charged there. *)
+let in_bucket ctx bucket f =
+  Timer.Phases.record ctx.phases bucket (fun () -> with_phase_io ctx bucket f)
+
+let exec ctx bucket sql = in_bucket ctx bucket (fun () -> ignore (Engine.exec ctx.engine sql))
 
 (* The LFP inner loop executes the same handful of SQL texts every
    iteration; each is parsed and planned exactly once, before the loop. *)
 let prep ctx sql = ctx.prepare sql
 
 let run_prep ctx bucket p =
-  Timer.Phases.record ctx.phases bucket (fun () ->
-      with_phase_io ctx bucket (fun () -> ignore (Engine.exec_prepared ctx.engine p)))
+  in_bucket ctx bucket (fun () -> ignore (Engine.exec_prepared ctx.engine p))
 
-(* [target <- source EXCEPT current], the termination-check set
-   difference of both strategies. *)
+(* [target <- source EXCEPT current], naive evaluation's termination
+   check. *)
 let prep_except ctx ~target ~source ~current =
   prep ctx
     (Printf.sprintf "INSERT INTO %s (SELECT * FROM %s) EXCEPT (SELECT * FROM %s)" target source
@@ -99,11 +101,10 @@ let prep_except ctx ~target ~source ~current =
    is the number of genuinely new tuples, so no separate COUNT( * ) probe
    is needed. *)
 let fill_prep ctx p =
-  Timer.Phases.record ctx.phases "termination" (fun () ->
-      with_phase_io ctx "termination" (fun () ->
-          match Engine.exec_prepared ctx.engine p with
-          | Engine.Affected n -> n
-          | _ -> failwith "INSERT ... EXCEPT did not report an affected count"))
+  in_bucket ctx "termination" (fun () ->
+      match Engine.exec_prepared ctx.engine p with
+      | Engine.Affected n -> n
+      | _ -> failwith "INSERT ... EXCEPT did not report an affected count")
 
 let create_table ctx ?(with_index = false) name types =
   exec ctx "create_drop" (Datalog.Sqlgen.create_table ~name ~types ());
@@ -213,61 +214,73 @@ let eval_clique_naive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rules =
 (* ------------------------------------------------------------------ *)
 (* Clique evaluation: semi-naive *)
 
+(* A rule variant fused with the set difference: only rows new to
+   [member] reach its candidate table, whose cardinality is then the
+   number of new tuples. *)
+let insert_new member select =
+  Printf.sprintf "INSERT INTO %s (%s) EXCEPT (SELECT * FROM %s)" (Names.new_delta member) select
+    member
+
 type seminaive_member = {
   sm_pred : string;
+  sm_cand : string;
+  sm_delta : string;
   sm_truncate_cand : Engine.prepared;
-  sm_truncate_delta : Engine.prepared;
-  sm_fill_delta : Engine.prepared;  (** delta <- candidates EXCEPT current *)
-  sm_absorb : Engine.prepared;  (** current <- delta *)
-  sm_accumulate : Engine.prepared option;  (** optional: sink <- delta *)
+  sm_absorb : Engine.prepared;  (** current <- candidates *)
+  sm_accumulate : Engine.prepared option;  (** optional: sink <- candidates *)
 }
 
 (* The per-member statements of the semi-naive inner loop, over the given
    table name. The member table and its [delta]/[new_delta] scratch
    tables must already exist. *)
 let seminaive_member ctx ?accumulate p =
-  let delta = Names.delta p and cand = Names.new_delta p in
-  let copy_delta_into target =
-    prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" target delta)
+  let cand = Names.new_delta p in
+  let copy_cand_into target =
+    prep ctx (Printf.sprintf "INSERT INTO %s SELECT * FROM %s" target cand)
   in
   {
     sm_pred = p;
+    sm_cand = cand;
+    sm_delta = Names.delta p;
     sm_truncate_cand = prep ctx ("TRUNCATE TABLE " ^ cand);
-    sm_truncate_delta = prep ctx ("TRUNCATE TABLE " ^ delta);
-    sm_fill_delta = prep_except ctx ~target:delta ~source:cand ~current:p;
-    sm_absorb = copy_delta_into p;
-    sm_accumulate = Option.map copy_delta_into accumulate;
+    sm_absorb = copy_cand_into p;
+    sm_accumulate = Option.map copy_cand_into accumulate;
   }
+
+(* The member step. The candidate table holds only tuples new to the
+   member, so its cardinality is the termination test and runs no
+   statement. The new tuples go into the member (and the sink), then the
+   delta and candidate tables trade rows: the new tuples are the next
+   delta, and the old delta is what the next iteration truncates. *)
+let member_step ctx sm =
+  let n =
+    Timer.Phases.record ctx.phases "termination" (fun () ->
+        Engine.table_cardinality ctx.engine sm.sm_cand)
+  in
+  if n > 0 then begin
+    run_prep ctx "copy" sm.sm_absorb;
+    Option.iter (run_prep ctx "copy") sm.sm_accumulate
+  end;
+  in_bucket ctx "create_drop" (fun () -> Engine.swap_tables ctx.engine sm.sm_delta sm.sm_cand);
+  (sm.sm_pred, n)
 
 (* The semi-naive inner loop itself, shared between full LFP evaluation
    and incremental propagation (Core.Incremental): assumes each member's
    delta table holds the seed (already absorbed into the member table)
-   and iterates to the fixpoint. Every rule variant runs before any delta
-   table is refilled, so all of them read the previous iteration's
-   deltas. *)
+   and iterates to the fixpoint. Every rule variant runs before any member
+   absorbs its candidates, so all of them read the previous iteration's
+   deltas and members. *)
 let seminaive_loop ctx ~label ~rule_preps ~member_preps =
   let iterations = ref 0 in
   let changed = ref true in
   while !changed do
     incr iterations;
     if !iterations > ctx.max_iterations then failwith "semi-naive evaluation exceeded max iterations";
-    changed := false;
     let snap = begin_iteration ctx in
     List.iter (fun sm -> run_prep ctx "create_drop" sm.sm_truncate_cand) member_preps;
     List.iter (fun p -> run_prep ctx "eval" p) rule_preps;
-    let deltas =
-      List.map
-        (fun sm ->
-          run_prep ctx "create_drop" sm.sm_truncate_delta;
-          let n = fill_prep ctx sm.sm_fill_delta in
-          (match sm.sm_accumulate with
-          | Some p when n > 0 -> run_prep ctx "copy" p
-          | _ -> ());
-          run_prep ctx "copy" sm.sm_absorb;
-          if n > 0 then changed := true;
-          (sm.sm_pred, n))
-        member_preps
-    in
+    let deltas = List.map (member_step ctx) member_preps in
+    changed := List.exists (fun (_, n) -> n > 0) deltas;
     end_iteration ctx ~label ~index:!iterations ~deltas snap
   done;
   !iterations
@@ -289,13 +302,12 @@ let eval_clique_seminaive ctx ~label ~members ~fact_inserts ~exit_rules ~rec_rul
   let rule_preps =
     List.concat_map
       (fun (head, r) ->
-        let target = Names.new_delta head in
-        match r.Codegen.cr_delta_selects with
-        | [] ->
-            (* defensive: a "recursive" rule with no clique occurrence *)
-            [ prep ctx (Printf.sprintf "INSERT INTO %s %s" target r.Codegen.cr_select) ]
-        | variants ->
-            List.map (fun sel -> prep ctx (Printf.sprintf "INSERT INTO %s %s" target sel)) variants)
+        let variants =
+          match r.Codegen.cr_delta_selects with
+          | [] -> [ r.Codegen.cr_select ] (* defensive: no clique occurrence *)
+          | variants -> variants
+        in
+        List.map (fun sel -> prep ctx (insert_new head sel)) variants)
       rec_rules
   in
   let member_preps = List.map (fun (p, _) -> seminaive_member ctx p) members in
@@ -412,11 +424,12 @@ let execute engine ?(strategy = Seminaive) ?(index_derived = false) ?(max_iterat
 (* ------------------------------------------------------------------ *)
 (* Re-entering the semi-naive loop over existing tables (incremental
    view maintenance). The caller owns table lifecycle: each member table
-   holds the current state, its delta table the seed (already absorbed
-   into the member), and the new-delta scratch table exists. Those
-   tables outlive the call and the statement texts are fixed per view,
-   so the statements come from the engine's statement cache and keep
-   their plans from one call to the next. *)
+   holds the current state, its candidate table the seed (tuples new to
+   the member, not yet absorbed), and the delta scratch table exists. The
+   seed goes through the loop's own member step, then the loop runs.
+   Those tables outlive the call and the statement texts are fixed per
+   view, so the statements come from the engine's statement cache and
+   keep their plans from one call to the next. *)
 
 let resume_seminaive engine ?(max_iterations = 100_000) ?observer ~label ~members ~rules
     ?accumulate () =
@@ -432,12 +445,10 @@ let resume_seminaive engine ?(max_iterations = 100_000) ?observer ~label ~member
       observer = (match observer with Some f -> f | None -> fun _ -> ());
     }
   in
-  let rule_preps =
-    List.map
-      (fun (target, select) ->
-        prep ctx (Printf.sprintf "INSERT INTO %s %s" (Names.new_delta target) select))
-      rules
-  in
   let accumulate = match accumulate with Some f -> f | None -> fun _ -> None in
   let member_preps = List.map (fun p -> seminaive_member ctx ?accumulate:(accumulate p) p) members in
-  seminaive_loop ctx ~label ~rule_preps ~member_preps
+  let seeded = List.exists (fun (_, n) -> n > 0) (List.map (member_step ctx) member_preps) in
+  if seeded && rules <> [] then
+    let rule_preps = List.map (fun (target, select) -> prep ctx (insert_new target select)) rules in
+    seminaive_loop ctx ~label ~rule_preps ~member_preps
+  else 0

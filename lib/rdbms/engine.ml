@@ -68,6 +68,7 @@ type undo =
     }
   | U_create_index of string  (* undo drops it *)
   | U_drop_index of { di_index : string; di_table : string; di_column : string; di_ordered : bool }
+  | U_swap of string * string  (* two tables traded rows; undo swaps back *)
 
 type txn = {
   mutable t_undo : undo list;  (* newest first; rollback applies in list order *)
@@ -524,13 +525,17 @@ let apply_undo t u =
             dt_indexes)
   | U_create_index name -> (
       match Catalog.drop_index t.catalog name with Ok () | Error _ -> ())
-  | U_drop_index { di_index; di_table; di_column; di_ordered } ->
+  | U_drop_index { di_index; di_table; di_column; di_ordered } -> (
       if di_ordered then
         match Catalog.create_ordered_index t.catalog ~name:di_index ~table:di_table ~column:di_column with
         | Ok _ | Error _ -> ()
-      else (
+      else
         match Catalog.create_index t.catalog ~name:di_index ~table:di_table ~column:di_column with
         | Ok _ | Error _ -> ())
+  | U_swap (a, b) -> (
+      match (relation a, relation b) with
+      | Some ra, Some rb -> Relation.swap ra rb
+      | _ -> ())
 
 let notify_commit t script =
   match t.commit_hook with
@@ -1076,6 +1081,39 @@ let maybe_sanitize t =
 let set_sanitize t on = t.sanitize <- on
 
 let sanitize_enabled t = t.sanitize
+
+(* Exchange the rows of two tables in O(1) (the LFP loop's delta and
+   candidate tables). It is no statement and the WAL never sees it, so
+   only unlogged tables may trade rows: the call must come inside
+   [suspend_logging]. Indexes and heaps follow row ids, which the swap
+   does not carry over, so neither table may have one. Undo stays exact:
+   one [U_swap] joins the enclosing statement frame or the open
+   transaction. The swap is charged one catalog page write, as CREATE
+   TABLE is. *)
+let swap_tables t a b =
+  charged t @@ fun () ->
+  if not t.log_suspended then
+    fail "cannot swap %s and %s: only unlogged tables can trade rows (use suspend_logging)" a b;
+  let relation name =
+    match Catalog.find_table t.catalog name with
+    | None -> fail "no such table: %s" name
+    | Some tbl ->
+        if tbl.Catalog.tbl_indexes <> [] || tbl.Catalog.tbl_ordered <> [] then
+          fail "cannot swap %s: it has an index" name;
+        if Relation.backed tbl.Catalog.tbl_relation then fail "cannot swap %s: it has a heap" name;
+        tbl.Catalog.tbl_relation
+  in
+  let ra = relation a and rb = relation b in
+  let types rel = Schema.types (Relation.schema rel) in
+  if not (List.equal Datatype.equal (types ra) (types rb)) then
+    fail "cannot swap %s and %s: their column types differ" a b;
+  Relation.swap ra rb;
+  (match (t.sink, t.txn) with
+  | Some sink, _ -> sink := U_swap (a, b) :: !sink
+  | None, Some txn -> txn.t_undo <- U_swap (a, b) :: txn.t_undo
+  | None, None -> ());
+  t.stats.Stats.page_writes <- t.stats.Stats.page_writes + 1;
+  maybe_sanitize t
 
 let exec_stmt t stmt =
   charged t @@ fun () ->

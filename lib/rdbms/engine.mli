@@ -217,6 +217,18 @@ val clear_table : t -> string -> unit
     schema and indexes registered. Equivalent to executing
     [TRUNCATE TABLE name] but without going through SQL text. *)
 
+val swap_tables : t -> string -> string -> unit
+(** [swap_tables t a b] exchanges the rows of tables [a] and [b] in O(1)
+    ({!Relation.swap}); the tables keep their names, schemas and cached
+    plans, which read the swapped rows at their next execution. It runs
+    no statement: it is charged one catalog page write, as CREATE TABLE
+    is, and the sanitizer audits after it. Undo is exact: inside a
+    transaction (or statement) one record swaps back on rollback. The WAL
+    never sees a swap, so only unlogged tables may trade rows. Raises
+    {!Sql_error} outside {!suspend_logging}, for an unknown table, for
+    column types that differ, and for a table with an index or a heap
+    backing (both follow row ids, which a swap does not carry over). *)
+
 val exec_script : t -> string -> result list
 (** Execute a [;]-separated script. *)
 
@@ -274,7 +286,8 @@ val set_trace_hook : t -> (trace_event -> unit) option -> unit
     its JSONL writer through this, the same shape as {!set_commit_hook}. *)
 
 val table_cardinality : t -> string -> int
-(** Live row count of a table. *)
+(** Live row count of a table, read off the relation: no statement runs
+    and nothing is charged. Raises {!Sql_error} for an unknown table. *)
 
 (** {1 Snapshot transactions (MVCC-lite)}
 

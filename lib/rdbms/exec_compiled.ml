@@ -430,12 +430,18 @@ let compile stats plan =
     | Plan.Except_distinct (a, b) -> (
         match bare_relation b with
         | Some (brel, bchain) ->
-            (* the LFP termination shape, [new EXCEPT member]: instead of
-               materializing the (large, growing) right side and hashing
-               it into an exclusion set every execution, probe the
-               relation's own tuple table — it IS that set *)
+            (* the LFP's set difference, [variant EXCEPT member]: instead
+               of materializing the (large, growing) right side and
+               hashing it into an exclusion set every execution, probe
+               the relation's own tuple table — it IS that set. A left
+               side that is a stored relation or a DISTINCT (every rule
+               variant) has no repeats, so needs no dedupe set either. *)
             let fa = child a in
-            let a_distinct = bare_relation a <> None in
+            let a_distinct =
+              match a with
+              | Plan.Distinct _ -> true
+              | _ -> bare_relation a <> None
+            in
             fun node ->
               phantom_side stats node bchain brel;
               let ba = fa node in

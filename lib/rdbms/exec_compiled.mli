@@ -8,7 +8,14 @@
     the same order, same {!Stats} charges at the same points, and the same
     EXPLAIN ANALYZE profile trees. Every operator charges the simulated
     page-I/O cost model (see {!Stats}); a scan is charged the relation's
-    {!Relation.pages} whether or not a heap backs it. *)
+    {!Relation.pages} whether or not a heap backs it.
+
+    Set operators skip work their inputs make redundant: a stored relation
+    on the right of EXCEPT is probed through its own tuple table instead
+    of being hashed, and a left input that is a stored relation or a
+    DISTINCT needs no dedupe set. That is the shape of the semi-naive
+    loop's fused rule variant, [(SELECT DISTINCT ...) EXCEPT (SELECT *
+    FROM member)], which then costs one membership probe per row. *)
 
 type t
 (** A compiled plan. The engine {!Stats} to charge are captured at compile

@@ -27,7 +27,7 @@ and t = {
   schema : Schema.t;
   mutable rows : Tuple.t option array; (* slot per row id; None = tombstone *)
   mutable next_id : int;
-  ids : Tuple_tbl.t; (* live tuple -> row id *)
+  mutable ids : Tuple_tbl.t; (* live tuple -> row id *)
   mutable bytes : int;
   mutable backing : backing option;
   mutable insert_obs : (int -> Tuple.t -> unit) list;
@@ -251,6 +251,24 @@ let clear t =
       b.bk_locs <- Array.make 16 (-1)
   | None -> ());
   List.iter (fun f -> f ()) t.clear_obs
+
+(* Exchange the rows of two relations in O(1): the slot arrays, tuple
+   tables, id watermarks and byte counts trade places. Both capture their
+   snapshot version first, as every mutator does. Observers and backings
+   stay where they are, so the caller must refuse relations that have
+   either. *)
+let swap a b =
+  maybe_capture a;
+  maybe_capture b;
+  let rows = a.rows and next_id = a.next_id and ids = a.ids and bytes = a.bytes in
+  a.rows <- b.rows;
+  a.next_id <- b.next_id;
+  a.ids <- b.ids;
+  a.bytes <- b.bytes;
+  b.rows <- rows;
+  b.next_id <- next_id;
+  b.ids <- ids;
+  b.bytes <- bytes
 
 (* Whole-relation scans on a backed relation go through the heap, so
    the buffer pool sees their page traffic. Id-addressed access

@@ -63,6 +63,14 @@ val delete : t -> Tuple.t -> bool
 val clear : t -> unit
 (** Removes all rows (and resets row ids). *)
 
+val swap : t -> t -> unit
+(** [swap a b] exchanges the rows of [a] and [b] in O(1): each takes the
+    other's rows, row ids and byte count, after both have captured their
+    snapshot version. Schemas, observers, backings and version chains stay
+    put, so the caller must ensure the two schemas carry the same column
+    types and that neither relation has observers (indexes) or a heap
+    backing. *)
+
 val iter : (Tuple.t -> unit) -> t -> unit
 val iteri : (int -> Tuple.t -> unit) -> t -> unit
 (** [iteri] passes the row id. *)

@@ -193,6 +193,9 @@ let battery =
        place), and a filtered right side (materialized) *)
     "SELECT * FROM big EXCEPT SELECT * FROM small";
     "SELECT * FROM big EXCEPT SELECT * FROM small WHERE k > 5";
+    (* the semi-naive loop's fused rule variant: a DISTINCT left side
+       (no dedupe set) minus a stored relation *)
+    "(SELECT DISTINCT b.k, b.v FROM small s, big b WHERE s.k = b.k) EXCEPT (SELECT * FROM small)";
   ]
   @ member_joins
 
@@ -280,8 +283,9 @@ let test_mutations_in_lockstep () =
       "SELECT COUNT(*) FROM third";
     ]
 
-(* The semi-naive member step: an INSERT ... EXCEPT into an emptied delta
-   table, whose affected count the loop takes as its new-tuple count. *)
+(* An INSERT ... EXCEPT of a stored relation into an emptied table, whose
+   affected count is the new-tuple count: naive evaluation's termination
+   check, and the true deletions of DRed maintenance. *)
 let test_fill_delta_shape () =
   let e = seeded_engine 16 in
   List.iter
@@ -296,6 +300,40 @@ let test_fill_delta_shape () =
       Alcotest.(check int) (sql ^ ": affected = rows filled") affected
         (E.scalar_int e "SELECT COUNT(*) FROM third"))
     [ "SELECT * FROM small"; "SELECT * FROM small WHERE k > 5" ]
+
+(* The semi-naive loop's fused rule variant, [INSERT INTO cand (SELECT
+   DISTINCT ... join ...) EXCEPT (SELECT * FROM member)], over a join
+   whose output repeats rows and partly overlaps the member table: only
+   the distinct rows new to the member reach the candidate table. *)
+let test_fused_variant_shape () =
+  let e = seeded_engine 18 in
+  steps e
+    [
+      (* small repeats big's keys, so the join repeats big's rows *)
+      "INSERT INTO small SELECT k, v FROM big WHERE k < 6";
+      (* the member holds part of the join's output *)
+      "INSERT INTO third SELECT k, v FROM big WHERE k < 10";
+      "CREATE TABLE cand (k integer, z char)";
+    ];
+  let join = "FROM small s, big b WHERE s.k = b.k" in
+  let variant = Printf.sprintf "SELECT DISTINCT b.k, b.v %s" join in
+  let rows sql = List.length (E.query e sql) in
+  let distinct = rows variant in
+  let joined = rows (Printf.sprintf "SELECT b.k, b.v %s" join) in
+  let fresh = Printf.sprintf "(%s) EXCEPT (SELECT * FROM third)" variant in
+  let n_fresh = rows fresh in
+  Alcotest.(check bool) "the join repeats rows" true (joined > distinct);
+  Alcotest.(check bool) "the join overlaps the member" true (n_fresh < distinct);
+  Alcotest.(check bool) "the join adds to the member" true (n_fresh > 0);
+  let sql = Printf.sprintf "INSERT INTO cand %s" fresh in
+  (match step e sql with
+  | E.Affected n -> Alcotest.(check int) (sql ^ ": affected = new rows") n_fresh n
+  | _ -> Alcotest.fail (sql ^ ": no affected count"));
+  ignore (step e fresh);
+  (* a second run adds nothing the candidate table lacks *)
+  match step e sql with
+  | E.Affected n -> Alcotest.(check int) (sql ^ ": rerun adds nothing") 0 n
+  | _ -> Alcotest.fail (sql ^ ": no affected count")
 
 (* EXPLAIN ANALYZE through the engine: the profile tree it returns sums to
    the statement's Stats delta, including INSERT ... SELECT's synthetic
@@ -420,6 +458,7 @@ let () =
           Alcotest.test_case "member join plans and charges" `Quick test_member_join_charges;
           Alcotest.test_case "mutations in lockstep" `Quick test_mutations_in_lockstep;
           Alcotest.test_case "fill-delta EXCEPT shape" `Quick test_fill_delta_shape;
+          Alcotest.test_case "fused variant EXCEPT shape" `Quick test_fused_variant_shape;
         ] );
       ( "explain analyze",
         [ Alcotest.test_case "counter sums and profile parity" `Quick test_analyze_parity ] );

@@ -1,7 +1,7 @@
 (* Tests for the prepared-statement API, the transparent statement cache
    (its per-table plan invalidation, eager release of dropped tables'
-   plans, and LRU eviction), TRUNCATE, and scratch-table reuse in the LFP
-   runtime. *)
+   plans, and LRU eviction), TRUNCATE, the O(1) table swap, and
+   scratch-table reuse in the LFP runtime. *)
 
 module E = Rdbms.Engine
 module Stats = Rdbms.Stats
@@ -258,10 +258,152 @@ let test_truncate () =
   Alcotest.(check int) "fast path empties" 0 (E.table_cardinality e "t");
   Alcotest.(check int) "fast path counted" 2 st.Stats.tables_truncated
 
+(* ---------------- swap_tables ---------------- *)
+
+(* Two unindexed tables of the same column types, as the LFP loop's delta
+   and candidate tables are, and a third to copy into. *)
+let swap_engine () =
+  let e = E.create () in
+  E.set_sanitize e true;
+  List.iter
+    (fun sql -> ignore (E.exec e sql))
+    [
+      "CREATE TABLE a (x integer, y integer)";
+      "CREATE TABLE b (x integer, y integer)";
+      "CREATE TABLE c (x integer, y integer)";
+      "INSERT INTO a VALUES (1, 10), (2, 20), (3, 30)";
+      "INSERT INTO b VALUES (9, 90)";
+    ];
+  e
+
+let rows_of e table =
+  List.map
+    (fun row -> Array.to_list (Array.map Rdbms.Value.to_string row))
+    (E.query e ("SELECT * FROM " ^ table))
+
+let swap e a b = E.suspend_logging e (fun () -> E.swap_tables e a b)
+let a_rows = [ [ "1"; "10" ]; [ "2"; "20" ]; [ "3"; "30" ] ]
+let b_rows = [ [ "9"; "90" ] ]
+
+let test_swap_exchanges_rows () =
+  let e = swap_engine () in
+  let st = E.stats e in
+  let stmts = st.Stats.statements and writes = st.Stats.page_writes in
+  swap e "a" "b";
+  Alcotest.(check int) "no statement ran" stmts st.Stats.statements;
+  Alcotest.(check int) "one catalog page write" (writes + 1) st.Stats.page_writes;
+  Alcotest.(check (list (list string))) "a holds b's rows" b_rows (rows_of e "a");
+  Alcotest.(check (list (list string))) "b holds a's rows, in order" a_rows (rows_of e "b");
+  Alcotest.(check int) "a's cardinality follows its rows" 1 (E.table_cardinality e "a");
+  (* the swapped relations take inserts and deletes as usual *)
+  ignore (E.exec e "INSERT INTO a VALUES (1, 10)");
+  ignore (E.exec e "DELETE FROM b WHERE x = 2");
+  Alcotest.(check (list (list string))) "a after an insert" [ [ "9"; "90" ]; [ "1"; "10" ] ]
+    (rows_of e "a");
+  Alcotest.(check (list (list string))) "b after a delete" [ [ "1"; "10" ]; [ "3"; "30" ] ]
+    (rows_of e "b");
+  Alcotest.(check int) "the sanitizer's audit is clean" 0 (List.length (E.check_invariants e))
+
+let test_swap_rolls_back () =
+  let e = swap_engine () in
+  ignore (E.exec e "BEGIN");
+  swap e "a" "b";
+  ignore (E.exec e "INSERT INTO a VALUES (5, 50)");
+  swap e "a" "c";
+  ignore (E.exec e "INSERT INTO b VALUES (6, 60)");
+  ignore (E.exec e "ROLLBACK");
+  Alcotest.(check (list (list string))) "a holds exactly its old rows" a_rows (rows_of e "a");
+  Alcotest.(check (list (list string))) "b holds exactly its old rows" b_rows (rows_of e "b");
+  Alcotest.(check (list (list string))) "c is empty again" [] (rows_of e "c");
+  Alcotest.(check int) "the sanitizer's audit is clean" 0 (List.length (E.check_invariants e))
+
+(* A snapshot taken before the swap keeps reading the rows it saw: the
+   swap captures each relation's version first, like every mutator. *)
+let test_swap_keeps_snapshots () =
+  let e = swap_engine () in
+  let ts = E.begin_snapshot e in
+  swap e "a" "b";
+  let snap table =
+    List.map
+      (fun row -> Array.to_list (Array.map Rdbms.Value.to_string row))
+      (E.query_snapshot e ~ts ("SELECT * FROM " ^ table))
+  in
+  Alcotest.(check (list (list string))) "snapshot of a" a_rows (snap "a");
+  Alcotest.(check (list (list string))) "snapshot of b" b_rows (snap "b");
+  Alcotest.(check (list (list string))) "live a" b_rows (rows_of e "a");
+  E.release_snapshot e ts
+
+let test_swap_keeps_plans () =
+  let e = swap_engine () in
+  let st = E.stats e in
+  let from_a = E.prepare e "INSERT INTO c SELECT * FROM a" in
+  let from_b = E.prepare e "INSERT INTO c SELECT * FROM b" in
+  let into_a = E.prepare e "INSERT INTO a SELECT * FROM c" in
+  let rebuilt = ref 0 in
+  let run p =
+    let misses = st.Stats.plan_cache_misses in
+    ignore (E.exec_prepared e p);
+    rebuilt := !rebuilt + (st.Stats.plan_cache_misses - misses)
+  in
+  run from_a;
+  run from_b;
+  E.clear_table e "c";
+  run into_a;
+  Alcotest.(check int) "each plan built once" 3 !rebuilt;
+  rebuilt := 0;
+  swap e "a" "b";
+  run from_a;
+  Alcotest.(check (list (list string))) "reads a's swapped rows" b_rows (rows_of e "c");
+  E.clear_table e "c";
+  run from_b;
+  Alcotest.(check (list (list string))) "reads b's swapped rows" a_rows (rows_of e "c");
+  run into_a;
+  Alcotest.(check int) "writes into a's swapped rows" 4 (E.table_cardinality e "a");
+  swap e "a" "b";
+  E.clear_table e "c";
+  run from_a;
+  Alcotest.(check (list (list string))) "and back" a_rows (rows_of e "c");
+  Alcotest.(check int) "no plan rebuilt across the swaps" 0 !rebuilt
+
+let test_swap_refusals () =
+  let e = swap_engine () in
+  List.iter
+    (fun sql -> ignore (E.exec e sql))
+    [
+      "CREATE TABLE narrow (x integer)";
+      "CREATE TABLE text (x integer, y char)";
+      "CREATE TABLE indexed (x integer, y integer)";
+      "CREATE INDEX idx_indexed_x ON indexed (x)";
+    ];
+  let refused what f =
+    match f () with
+    | () -> Alcotest.fail (what ^ ": swapped")
+    | exception E.Sql_error _ -> ()
+    | exception e -> Alcotest.fail (what ^ ": " ^ Printexc.to_string e)
+  in
+  refused "outside suspend_logging" (fun () -> E.swap_tables e "a" "b");
+  refused "unknown table" (fun () -> swap e "a" "nope");
+  refused "unknown first table" (fun () -> swap e "nope" "a");
+  refused "fewer columns" (fun () -> swap e "a" "narrow");
+  refused "another column type" (fun () -> swap e "a" "text");
+  refused "indexed" (fun () -> swap e "indexed" "a");
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dkb_swap_heap" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  E.attach_storage e ~dir ~persist:(fun name -> name = "c") ();
+  Fun.protect
+    ~finally:(fun () ->
+      E.close_storage e;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> refused "heap-backed" (fun () -> swap e "c" "a"));
+  Alcotest.(check (list (list string))) "a untouched" a_rows (rows_of e "a");
+  Alcotest.(check (list (list string))) "b untouched" b_rows (rows_of e "b")
+
 (* ---------------- LFP runtime: scratch reuse + prepared loop ---------------- *)
 
-let run_ancestor strategy =
-  let s, tree = Experiments.Common.tree_session ~depth:6 in
+let run_ancestor ?(depth = 6) strategy =
+  let s, tree = Experiments.Common.tree_session ~depth in
   let goal = Workload.Queries.ancestor_goal tree.Workload.Graphgen.t_root in
   let options = { Core.Session.default_options with strategy } in
   let answer = Experiments.Common.ok (Core.Session.query_goal s ~options goal) in
@@ -281,13 +423,20 @@ let check_no_leftovers s =
       Alcotest.(check bool) (Printf.sprintf "%s cleaned up" n) false (List.mem n names))
     ("ancestor" :: Datalog.Names.scratch_tables "ancestor")
 
+(* The loop prepares its statements once, before the first iteration:
+   if it re-planned per iteration, a deeper tree (more iterations) would
+   build more plans. Each iteration truncates each member's candidate
+   table once, and nothing else. *)
 let test_seminaive_scratch_reuse () =
   let s, answer = run_ancestor Core.Runtime.Seminaive in
   let io = answer.Core.Session.run.Core.Runtime.io in
   Alcotest.(check bool) "enough iterations to matter" true (iters_of answer >= 3);
-  Alcotest.(check bool) "plan reuse dominates plan building" true
-    (io.Stats.plan_cache_hits > io.Stats.plan_cache_misses);
-  Alcotest.(check bool) "loop truncates instead of dropping" true (io.Stats.tables_truncated > 0);
+  let _, deeper = run_ancestor ~depth:8 Core.Runtime.Seminaive in
+  Alcotest.(check bool) "the deeper tree iterates more" true (iters_of deeper > iters_of answer);
+  Alcotest.(check int) "plans built do not grow with the iterations" io.Stats.plan_cache_misses
+    deeper.Core.Session.run.Core.Runtime.io.Stats.plan_cache_misses;
+  Alcotest.(check int) "one truncate per iteration and member" (iters_of answer)
+    io.Stats.tables_truncated;
   (* ancestor + delta + candidate, each created exactly once,
      regardless of the iteration count *)
   Alcotest.(check int) "tables created once" 3 io.Stats.tables_created;
@@ -333,6 +482,14 @@ let () =
           Alcotest.test_case "capacity" `Quick test_lru_capacity;
           Alcotest.test_case "least recently used first" `Quick test_lru_order;
           Alcotest.test_case "touched text survives" `Quick test_lru_touched_text_survives;
+        ] );
+      ( "swap tables",
+        [
+          Alcotest.test_case "exchanges rows" `Quick test_swap_exchanges_rows;
+          Alcotest.test_case "rolls back" `Quick test_swap_rolls_back;
+          Alcotest.test_case "keeps snapshots" `Quick test_swap_keeps_snapshots;
+          Alcotest.test_case "keeps cached plans" `Quick test_swap_keeps_plans;
+          Alcotest.test_case "typed refusals" `Quick test_swap_refusals;
         ] );
       ( "lfp runtime",
         [
