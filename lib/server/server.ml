@@ -35,6 +35,7 @@ type t = {
   s_listen : Unix.file_descr;
   s_port : int;
   s_engine : Engine.t;
+  s_readbuf : Bytes.t; (* every read lands here first; one buffer, reused *)
   mutable s_conns : conn list;
   mutable s_writer : conn option; (* holder of the engine's write txn *)
   mutable s_active : conn option; (* conn whose request is executing *)
@@ -44,6 +45,11 @@ type t = {
 
 let port t = t.s_port
 let engine t = t.s_engine
+
+(* Bytes read per [Unix.read]. The buffer is allocated once per server:
+   at 4 KiB it is past the minor heap's size limit, so a fresh one per
+   read would be a major-heap allocation per request. *)
+let read_chunk = 4096
 
 let create ?(host = "127.0.0.1") ?(port = 0) engine =
   (* a client dropping mid-response must surface as EPIPE, not kill us *)
@@ -59,6 +65,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) engine =
     s_listen = fd;
     s_port = actual;
     s_engine = engine;
+    s_readbuf = Bytes.create read_chunk;
     s_conns = [];
     s_writer = None;
     s_active = None;
@@ -89,11 +96,11 @@ let respond conn status body = send conn ((status :: body) @ [ Protocol.terminat
    it can neither grow the server's memory nor keep it busy. *)
 let max_line_bytes = 1 lsl 20
 
-(* Read what arrived and queue the lines it completes. Only the new bytes
-   are scanned for newlines; the incomplete tail waits in [c_inbuf]. *)
-let read_conn conn =
-  let buf = Bytes.create 4096 in
-  match Unix.read conn.c_fd buf 0 4096 with
+(* Read what arrived into [buf] and queue the lines it completes. Only the
+   new bytes are scanned for newlines; the incomplete tail waits in
+   [c_inbuf]. *)
+let read_conn buf conn =
+  match Unix.read conn.c_fd buf 0 (Bytes.length buf) with
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> conn.c_open <- false
   | 0 -> conn.c_open <- false
   | n -> (
@@ -403,7 +410,7 @@ and poll t timeout =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   | readable, _, _ ->
       if List.mem t.s_listen readable then accept_conn t;
-      List.iter (fun c -> if List.mem c.c_fd readable then read_conn c) t.s_conns
+      List.iter (fun c -> if List.mem c.c_fd readable then read_conn t.s_readbuf c) t.s_conns
 
 and accept_conn t =
   match Unix.accept t.s_listen with
