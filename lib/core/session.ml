@@ -302,6 +302,25 @@ let sql t text =
   | r -> Ok r
   | exception Engine.Sql_error msg -> Error msg
 
+(* A template is parsed once; each execution binds its arguments, given
+   as text, by the types of the parameters they fill. *)
+let prepare t text =
+  scoped t @@ fun () ->
+  match Engine.prepare t.engine text with
+  | p -> Ok p
+  | exception Engine.Sql_error msg -> Error msg
+
+let exec_prepared t ?ts p args =
+  scoped t @@ fun () ->
+  match
+    let args = Engine.args_of_text t.engine p args in
+    match ts with
+    | None -> Engine.exec_prepared t.engine ~args p
+    | Some ts -> Engine.exec_snapshot_prepared t.engine ~ts ~args p
+  with
+  | r -> Ok r
+  | exception Engine.Sql_error msg -> Error msg
+
 let begin_snapshot t =
   scoped t @@ fun () ->
   match Engine.begin_snapshot t.engine with

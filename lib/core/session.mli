@@ -157,6 +157,17 @@ val answer_rows : answer -> (string list * Rdbms.Tuple.t list)
 val sql : t -> string -> (Rdbms.Engine.result, string) result
 (** Execute one SQL statement (through the engine's statement cache). *)
 
+val prepare : t -> string -> (Rdbms.Engine.prepared, string) result
+(** Parse a statement template once ({!Rdbms.Engine.prepare}); a syntax
+    error is the [Error]. *)
+
+val exec_prepared :
+  t -> ?ts:int -> Rdbms.Engine.prepared -> string list -> (Rdbms.Engine.result, string) result
+(** Run a prepared template with arguments given as text, each read as
+    its parameter's type ({!Rdbms.Engine.args_of_text}): on the live state,
+    or, with [ts], as a SELECT against that snapshot
+    ({!Rdbms.Engine.exec_snapshot_prepared}). Charged to this session. *)
+
 val begin_snapshot : t -> (int, string) result
 (** Open a snapshot transaction pinning the current committed state;
     returns its timestamp. See {!Rdbms.Engine.begin_snapshot}. *)

@@ -105,7 +105,8 @@ and cmp_sel col_info x op y =
     | None -> None
   in
   match (x, (op : Sql_ast.cmp_op), y) with
-  | Plan.R_col p, Sql_ast.Eq, Plan.R_lit _ | Plan.R_lit _, Sql_ast.Eq, Plan.R_col p -> (
+  | Plan.R_col p, Sql_ast.Eq, (Plan.R_lit _ | Plan.R_param _)
+  | (Plan.R_lit _ | Plan.R_param _), Sql_ast.Eq, Plan.R_col p -> (
       match ndv p with Some n -> 1.0 /. max 1.0 n | None -> eq_default)
   | Plan.R_col a, Sql_ast.Eq, Plan.R_col b -> (
       match (ndv a, ndv b) with
@@ -170,10 +171,11 @@ let rec estimate (plan : Plan.t) : est =
       let column = String.lowercase_ascii (Ordered_index.column oindex) in
       let bound_frac op = function
         | None -> 1.0
-        | Some (v, _incl) -> (
+        | Some (Plan.R_lit v, _incl) -> (
             match range_fraction table column op v with
             | Some f -> f
             | None -> range_default)
+        | Some (_, _incl) -> range_default
       in
       (* intersection of the lo and hi half-intervals, floored at the
          one-row fraction so a tight range never estimates to nothing *)

@@ -18,3 +18,8 @@ val of_value : Value.t -> t
 
 val check : t -> Value.t -> bool
 (** Does the value inhabit the type? *)
+
+val parse : t -> string -> (Value.t, string) result
+(** The value a text denotes as this type: for [TInt] the SQL integer
+    syntax (an optional [-] and decimal digits, within [int] range), for
+    [TStr] the text itself. The error says what was expected. *)

@@ -17,6 +17,7 @@ exception Sql_error = Sql_error.Sql_error
    (counted in {!Stats.card_replans}). *)
 type cached_plan = {
   cp_plan : Plan.t;
+  cp_params : Datatype.t array; (* types of ?1..?N, typed with the plan *)
   cp_deps : (Catalog.table * int) list;
   cp_join_order : Planner.join_order;
   cp_card_key : (string * int) list; (* table -> log2 cardinality bucket *)
@@ -33,6 +34,7 @@ type cached_plan = {
 type prepared = {
   p_sql : string; (* original text, for trace events *)
   p_stmt : Sql_ast.stmt;
+  p_nparams : int; (* parameters ?1..?N; each execution brings N arguments *)
   p_tables : string list; (* tables a SELECT/INSERT..SELECT reads from *)
   mutable p_plan : cached_plan option; (* SELECT / INSERT ... SELECT only *)
   mutable p_runs : int; (* executions so far, for hit/miss accounting *)
@@ -132,6 +134,19 @@ type result =
 
 let stmt_cache_capacity = 512
 
+let fail fmt = Printf.ksprintf (fun s -> raise (Sql_error s)) fmt
+
+(* The number of parameters a statement takes: they must be ?1..?N, so
+   each argument has its place. *)
+let count_params stmt =
+  let ns = Sql_ast.param_indexes stmt in
+  List.iteri
+    (fun i n ->
+      if n <> i + 1 then
+        fail "parameter ?%d is missing: number the parameters ?1..?%d" (i + 1) (List.length ns))
+    ns;
+  List.length ns
+
 (* A prepared statement outside the statement cache. *)
 let make_prepared sql stmt =
   let tables = Sql_ast.tables_of_stmt stmt in
@@ -139,6 +154,7 @@ let make_prepared sql stmt =
     {
       p_sql = sql;
       p_stmt = stmt;
+      p_nparams = count_params stmt;
       p_tables = tables;
       p_plan = None;
       p_runs = 0;
@@ -371,8 +387,6 @@ let set_statement_cache t enabled =
 
 let statement_cache_enabled t = t.cache_enabled
 let statement_cache_size t = Hashtbl.length t.stmt_cache
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Sql_error s)) fmt
 
 let or_fail = function
   | Ok v -> v
@@ -622,8 +636,8 @@ let insert_rows ?trust t table_name rows =
 let insert_batch ?trust t table_name b =
   insert_iter ?trust t table_name (fun f -> Batch.iter f b)
 
-let plan_query_or_fail t q =
-  try Planner.plan_query ~join_order:t.join_order t.catalog q with
+let plan_query_or_fail ?params t q =
+  try Planner.plan_query ?params ~join_order:t.join_order t.catalog q with
   | Planner.Plan_error msg -> raise (Sql_error msg)
   | Failure msg -> raise (Sql_error msg)
 
@@ -977,8 +991,10 @@ let worth_logging = function
    statement-local undo frame: on failure the statement's partial effects
    are undone before the exception propagates (statement atomicity), on
    success the frame folds into the open transaction — or, in autocommit,
-   the statement is published to the commit hook immediately. *)
-let with_stmt_frame t stmt body =
+   the statement is published to the commit hook immediately. A statement
+   run with [args] is logged with them bound, as the literal text it
+   stands for. *)
+let with_stmt_frame ?args t stmt body =
   let frame = ref [] in
   let saved = t.sink in
   t.sink <- Some frame;
@@ -992,14 +1008,14 @@ let with_stmt_frame t stmt body =
         List.iter (apply_undo t) !frame;
         raise e
   in
+  let redo () =
+    Sql_printer.stmt (match args with Some a -> Sql_ast.bind a stmt | None -> stmt)
+  in
   (match t.txn with
   | Some txn ->
       txn.t_undo <- !frame @ txn.t_undo;
-      if (not t.log_suspended) && worth_logging result then
-        txn.t_redo <- Sql_printer.stmt stmt :: txn.t_redo
-  | None ->
-      if (not t.log_suspended) && worth_logging result then
-        notify_commit t (Sql_printer.stmt stmt));
+      if (not t.log_suspended) && worth_logging result then txn.t_redo <- redo () :: txn.t_redo
+  | None -> if (not t.log_suspended) && worth_logging result then notify_commit t (redo ()));
   result
 
 (* Dispatcher: transaction control, then reads, then guarded writes. *)
@@ -1132,6 +1148,26 @@ let parse_or_fail sql =
   | Sql_lexer.Lex_error (msg, pos) -> fail "lex error at offset %d: %s" pos msg
 
 (* ------------------------------------------------------------------ *)
+(* Parameters and their arguments *)
+
+(* The types of a statement's [n] parameters against [catalog]. *)
+let infer_param_types catalog stmt n =
+  if n = 0 then [||]
+  else
+    try Planner.param_types catalog stmt n with Planner.Plan_error msg -> raise (Sql_error msg)
+
+let check_arg_count p given =
+  if given <> p.p_nparams then
+    fail "wrong number of arguments: expected %d, got %d" p.p_nparams given
+
+let check_arg_types types args =
+  Array.iteri
+    (fun i v ->
+      if not (Datatype.check types.(i) v) then
+        fail "?%d expects %s, got %s" (i + 1) (Datatype.to_string types.(i)) (Value.to_sql v))
+    args
+
+(* ------------------------------------------------------------------ *)
 (* Snapshot transactions (MVCC-lite)
 
    A snapshot pins the state visible at its begin timestamp: relations
@@ -1156,31 +1192,36 @@ let release_snapshot t ts =
 let snapshots_active t = Snapshots.active_count t.snaps
 let snapshot_versions t = Snapshots.chained_versions t.snaps
 
-(* One SELECT against the state as of snapshot [ts]. Plans are built
-   against the overlay and deliberately never cached: they embed frozen
-   table records that are garbage once the snapshot releases, and the
-   shared statement cache must only ever hold live-catalog plans. *)
-let exec_snapshot t ~ts sql =
-  charged t @@ fun () ->
-  match parse_or_fail sql with
+(* One SELECT against the state as of snapshot [ts], its [nparams]
+   parameters bound to [args]. Plans are built against the overlay and
+   deliberately never cached: they embed frozen table records that are
+   garbage once the snapshot releases, and the shared statement cache
+   must only ever hold live-catalog plans. *)
+let snapshot_select t ~ts ~sql ~nparams ?args stmt =
+  match stmt with
   | Sql_ast.Select { query; order_by } ->
       t.stats.Stats.statements <- t.stats.Stats.statements + 1;
       t.stats.Stats.snapshot_queries <- t.stats.Stats.snapshot_queries + 1;
       traced t sql (fun () ->
           let cat = Catalog.overlay t.catalog ~as_of:(fun rel -> Relation.as_of rel ts) in
+          let params = infer_param_types cat stmt nparams in
+          Option.iter (check_arg_types params) args;
           let plan =
-            try Planner.plan_select_stmt ~join_order:t.join_order cat query order_by with
+            try Planner.plan_select_stmt ~params ~join_order:t.join_order cat query order_by with
             | Planner.Plan_error msg -> raise (Sql_error msg)
             | Failure msg -> raise (Sql_error msg)
           in
           emit_plan t plan;
           note_est_of_plan t plan;
-          let rows = run_plan t.stats plan in
+          let rows = Exec_compiled.run ?args (Exec_compiled.compile t.stats plan) in
           let columns =
             Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of plan))
           in
           Rows { columns; rows })
   | _ -> fail "snapshot transactions are read-only: only SELECT is allowed"
+
+let exec_snapshot t ~ts sql =
+  charged t @@ fun () -> snapshot_select t ~ts ~sql ~nparams:0 (parse_or_fail sql)
 
 let query_snapshot t ~ts sql =
   match exec_snapshot t ~ts sql with
@@ -1248,9 +1289,10 @@ let deps_valid cp =
    plan caching. A rebuilt plan of a statement-cache entry is re-listed in
    the reverse index; caller-held prepared statements stay out of it and
    are validated at their next execution. *)
-let make_cached t plan ~deps ~key =
+let make_cached t plan ~params ~deps ~key =
   {
     cp_plan = plan;
+    cp_params = params;
     cp_deps = deps;
     cp_join_order = t.join_order;
     cp_card_key = key;
@@ -1261,11 +1303,12 @@ let make_cached t plan ~deps ~key =
 let plan_of_prepared ?target t p build =
   if not t.cache_enabled then begin
     t.stats.Stats.plan_cache_misses <- t.stats.Stats.plan_cache_misses + 1;
-    let plan = build () in
+    let params = infer_param_types t.catalog p.p_stmt p.p_nparams in
+    let plan = build params in
     emit_plan t plan;
     (* a fresh (uncached) entry: compiled form, if used, lives only for
        this execution *)
-    let cp = make_cached t plan ~deps:[] ~key:[] in
+    let cp = make_cached t plan ~params ~deps:[] ~key:[] in
     note_est t cp.cp_est;
     cp
   end
@@ -1284,8 +1327,9 @@ let plan_of_prepared ?target t p build =
       | Some cp when deps_valid cp && cp.cp_join_order = t.join_order ->
           t.stats.Stats.card_replans <- t.stats.Stats.card_replans + 1
       | _ -> ());
-      let plan = build () in
-      let cp = make_cached t plan ~deps:(deps_of t p target) ~key in
+      let params = infer_param_types t.catalog p.p_stmt p.p_nparams in
+      let plan = build params in
+      let cp = make_cached t plan ~params ~deps:(deps_of t p target) ~key in
       unindex_plan t p;
       p.p_plan <- Some cp;
       if in_cache p then index_plan t p cp;
@@ -1294,8 +1338,8 @@ let plan_of_prepared ?target t p build =
       cp
 
 let select_plan_of_prepared t p query order_by =
-  plan_of_prepared t p (fun () ->
-      try Planner.plan_select_stmt ~join_order:t.join_order t.catalog query order_by with
+  plan_of_prepared t p (fun params ->
+      try Planner.plan_select_stmt ~params ~join_order:t.join_order t.catalog query order_by with
       | Planner.Plan_error msg -> raise (Sql_error msg)
       | Failure msg -> raise (Sql_error msg))
 
@@ -1304,34 +1348,64 @@ let select_plan_of_prepared t p query order_by =
    catalog, so a successful check stays valid exactly as long as the plan
    does. *)
 let subquery_plan_of_prepared t p table query check =
-  plan_of_prepared ~target:table t p (fun () ->
-      let plan = plan_query_or_fail t query in
+  plan_of_prepared ~target:table t p (fun params ->
+      let plan = plan_query_or_fail ~params t query in
       check plan;
       plan)
 
-let exec_prepared t p =
+let prepared_stmt p = p.p_stmt
+
+(* The types of [p]'s parameters: those its cached plan was built with
+   while the plan's tables keep their versions, else typed afresh. *)
+let param_types t p =
+  match p.p_plan with
+  | Some cp when deps_valid cp -> cp.cp_params
+  | _ -> infer_param_types t.catalog p.p_stmt p.p_nparams
+
+let args_of_text t p texts =
+  check_arg_count p (List.length texts);
+  let types = param_types t p in
+  Array.of_list
+    (List.mapi
+       (fun i text ->
+         match Datatype.parse types.(i) text with
+         | Ok v -> v
+         | Error msg -> fail "?%d: %s" (i + 1) msg)
+       texts)
+
+(* The one execution path of a prepared statement. Arguments are checked
+   against the parameters' count and types, and live only in this call:
+   the compiled plan reads them from its cell, which [Exec_compiled]
+   clears on return, and a statement without a plan runs as its literal
+   form. *)
+let exec_prepared t ?args p =
   charged t @@ fun () ->
   t.stats.Stats.statements <- t.stats.Stats.statements + 1;
   let result =
     traced t p.p_sql (fun () ->
+    check_arg_count p (match args with Some a -> Array.length a | None -> 0);
+    let checked cp =
+      Option.iter (check_arg_types cp.cp_params) args;
+      Lazy.force cp.cp_exec
+    in
     match p.p_stmt with
     | Sql_ast.Select { query; order_by } ->
         let cp = select_plan_of_prepared t p query order_by in
-        let rows = Exec_compiled.run (Lazy.force cp.cp_exec) in
+        let rows = Exec_compiled.run ?args (checked cp) in
         let columns =
           Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of cp.cp_plan))
         in
         Rows { columns; rows }
     | Sql_ast.Insert_select { table; query } as stmt ->
-        with_stmt_frame t stmt (fun () ->
+        with_stmt_frame ?args t stmt (fun () ->
             let cp = subquery_plan_of_prepared t p table query (typecheck_insert_select t table) in
-            insert_batch ~trust:true t table (Exec_compiled.run_batch (Lazy.force cp.cp_exec)))
+            insert_batch ~trust:true t table (Exec_compiled.run_batch ?args (checked cp)))
     | Sql_ast.Delete_in { table; columns; query } as stmt ->
-        with_stmt_frame t stmt (fun () ->
+        with_stmt_frame ?args t stmt (fun () ->
             let cp =
               subquery_plan_of_prepared t p table query (typecheck_delete_in t table columns)
             in
-            delete_rows t table (target_relation t table) (Exec_compiled.run (Lazy.force cp.cp_exec)))
+            delete_rows t table (target_relation t table) (Exec_compiled.run ?args (checked cp)))
     | stmt ->
         (* no plan to cache, but a re-execution still skips lexing and
            parsing — count it so the counters mean "compiled form reused" *)
@@ -1339,11 +1413,23 @@ let exec_prepared t p =
           if p.p_runs > 0 then
             t.stats.Stats.plan_cache_hits <- t.stats.Stats.plan_cache_hits + 1
           else t.stats.Stats.plan_cache_misses <- t.stats.Stats.plan_cache_misses + 1;
+        let stmt =
+          match args with
+          | Some a when p.p_nparams > 0 ->
+              check_arg_types (param_types t p) a;
+              Sql_ast.bind a stmt
+          | _ -> stmt
+        in
         run_stmt t stmt)
   in
   p.p_runs <- p.p_runs + 1;
   maybe_sanitize t;
   result
+
+let exec_snapshot_prepared t ~ts ?args p =
+  charged t @@ fun () ->
+  check_arg_count p (match args with Some a -> Array.length a | None -> 0);
+  snapshot_select t ~ts ~sql:p.p_sql ~nparams:p.p_nparams ?args p.p_stmt
 
 (* Fetch (or admit) the transparent-cache entry for a SQL text. Plain
    INSERT ... VALUES texts are executed uncached: fact loads rarely repeat

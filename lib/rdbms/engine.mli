@@ -187,8 +187,9 @@ val exec_stmt : t -> Sql_ast.stmt -> result
 (** Execute an already-parsed statement (never cached). *)
 
 val prepare : t -> string -> prepared
-(** Parse [sql] once into a caller-held prepared statement. Counted in
-    {!Stats.statements_prepared}. *)
+(** Parse [sql] once into a caller-held prepared statement. Parameters,
+    if it has any, must be numbered [?1]..[?N] (else [Sql_error]). Counted
+    in {!Stats.statements_prepared}. *)
 
 val prepare_cached : t -> string -> prepared
 (** The statement cache's entry for [sql], admitted if absent, so a
@@ -197,9 +198,30 @@ val prepare_cached : t -> string -> prepared
     never admits (INSERT ... VALUES, transaction control, ANALYZE), and
     every text while the cache is disabled, get a fresh {!prepare}. *)
 
-val exec_prepared : t -> prepared -> result
+val exec_prepared : t -> ?args:Value.t array -> prepared -> result
 (** Execute a prepared statement, reusing its cached plan when still
-    valid (see {!prepared}). *)
+    valid (see {!prepared}). A statement with parameters [?1]..[?N] takes
+    N [args], [args.(i)] binding [?(i+1)]: the cached plan and its
+    compiled form read them in this execution (index-probe keys and range
+    bounds included) and keep none after it. Raises [Sql_error] for a
+    wrong number of arguments or one not of its parameter's type
+    ({!param_types}). A write reaches the commit hook with its arguments
+    printed as literals, the text the execution stands for, so the redo
+    format is that of a literal statement. *)
+
+val param_types : t -> prepared -> Datatype.t array
+(** The types of [?1]..[?N] against the current catalog (see
+    {!Planner.param_types}), kept with the cached plan while it is
+    valid. Raises [Sql_error] for a parameter that cannot be typed. *)
+
+val args_of_text : t -> prepared -> string list -> Value.t array
+(** One execution's arguments given as text (a wire EXEC's words), each
+    read as its parameter's type by {!Datatype.parse}: ["007"] is the
+    string ['007'] for a [char] parameter and 7 for an [integer] one.
+    Raises [Sql_error] for a wrong count or a text not of its type. *)
+
+val prepared_stmt : prepared -> Sql_ast.stmt
+(** The parsed statement, its parameters unbound. *)
 
 val set_statement_cache : t -> bool -> unit
 (** Enable/disable all plan caching (enabled by default): the transparent
@@ -319,6 +341,11 @@ val exec_snapshot : t -> ts:int -> string -> result
 (** Execute one SELECT against the state as of snapshot [ts]. Any other
     statement kind raises [Sql_error] (snapshot transactions are
     read-only). Counted in {!Stats.snapshot_queries}. *)
+
+val exec_snapshot_prepared : t -> ts:int -> ?args:Value.t array -> prepared -> result
+(** {!exec_snapshot} of a prepared SELECT, its parameters bound to
+    [args] as in {!exec_prepared}; planned afresh against the snapshot,
+    like every snapshot query. *)
 
 val query_snapshot : t -> ts:int -> string -> Tuple.t list
 (** {!exec_snapshot} returning the rows. *)

@@ -10,6 +10,9 @@ module Timer = Dkb_util.Timer
 
 type t = {
   label : string Lazy.t; (* op_label of the plan root, for the profile root node *)
+  args : Value.t array ref;
+      (* the running execution's arguments, read by every closure that
+         evaluates a parameter; empty between executions *)
   exec : Profile.t option -> Batch.t;
       (* the argument is the operator's own profile node (None when not
          profiling); the engine-global Stats are captured at compile time *)
@@ -56,9 +59,9 @@ let charge_probe_bytes stats node bytes =
       n.Profile.reads <- n.Profile.reads + pages
   | None -> ()
 
-let compile_filter = function
+let compile_filter args = function
   | None -> fun _ -> true
-  | Some c -> Plan.compile_rcond c
+  | Some c -> Plan.compile_rcond args c
 
 (* Is this projection the identity over its input header? Then the input
    batch can pass through untouched (rows are immutable, and scans already
@@ -155,6 +158,8 @@ let aggregate_rows rows group_keys outputs =
     List.rev_map (fun k -> fold_group !(Key_tbl.find groups k)) !order
 
 let compile stats plan =
+  let args = ref [||] in
+  let compile_filter = compile_filter args in
   let produced n = stats.Stats.rows_read <- stats.Stats.rows_read + n in
   let rec comp plan : Profile.t option -> Batch.t =
     match plan with
@@ -168,20 +173,28 @@ let compile stats plan =
           produced (Batch.length out);
           out
     | Plan.Index_scan { index; key; filter; _ } ->
+        let key = Plan.compile_rexpr args key in
         let keep = compile_filter filter in
         fun node ->
-          let matched, bytes = Index.lookup_with_bytes index key in
+          let matched, bytes = Index.lookup_with_bytes index (key [||]) in
           charge_probe_bytes stats node bytes;
           let out = Batch.create () in
           List.iter (fun row -> if keep row then Batch.push out row) matched;
           produced (Batch.length out);
           out
     | Plan.Range_scan { oindex; lo; hi; filter; _ } ->
-        let bound = Option.map (fun (value, inclusive) -> { Ordered_index.value; inclusive }) in
+        let bound =
+          Option.map (fun (e, inclusive) ->
+              let value = Plan.compile_rexpr args e in
+              fun () -> { Ordered_index.value = value [||]; inclusive })
+        in
         let lo = bound lo and hi = bound hi in
         let keep = compile_filter filter in
         fun node ->
-          let matched = Ordered_index.range oindex ?lo ?hi () in
+          let matched =
+            Ordered_index.range oindex ?lo:(Option.map (fun b -> b ()) lo)
+              ?hi:(Option.map (fun b -> b ()) hi) ()
+          in
           let bytes = List.fold_left (fun acc r -> acc + Tuple.byte_size r) 0 matched in
           charge_probe_bytes stats node bytes;
           let out = Batch.create () in
@@ -346,7 +359,7 @@ let compile stats plan =
           child input
         else
           let f = child input in
-          let fns = Array.map Plan.compile_rexpr exprs in
+          let fns = Array.map (Plan.compile_rexpr args) exprs in
           fun node ->
             let b = f node in
             let out = Batch.create ~capacity:(Batch.length b) () in
@@ -504,12 +517,28 @@ let compile stats plan =
           cn.Profile.rows <- Batch.length b;
           b
   in
-  { label = lazy (Plan.op_label plan); exec = comp plan }
+  { label = lazy (Plan.op_label plan); args; exec = comp plan }
 
-let run_batch t = t.exec None
-let run t = Batch.to_list (run_batch t)
+(* Run with [args] in the cell, and clear it after: the compiled form
+   keeps no value past its execution. *)
+let with_args t args f =
+  match args with
+  | None -> f ()
+  | Some a -> (
+      t.args := a;
+      match f () with
+      | r ->
+          t.args := [||];
+          r
+      | exception e ->
+          t.args := [||];
+          raise e)
 
-let run_profiled_batch t =
+let run_batch ?args t = with_args t args (fun () -> t.exec None)
+let run ?args t = Batch.to_list (run_batch ?args t)
+
+let run_profiled_batch ?args t =
+  with_args t args @@ fun () ->
   let root = Profile.make (Lazy.force t.label) in
   let t0 = Timer.now_ms () in
   let b = t.exec (Some root) in
@@ -517,6 +546,6 @@ let run_profiled_batch t =
   root.Profile.rows <- Batch.length b;
   (b, root)
 
-let run_profiled t =
-  let b, root = run_profiled_batch t in
+let run_profiled ?args t =
+  let b, root = run_profiled_batch ?args t in
   (Batch.to_list b, root)

@@ -26,12 +26,14 @@ val compile : Stats.t -> Plan.t -> t
 (** One-time translation of the plan into closures. Does not touch data or
     charge any I/O; all charging happens per {!run}. *)
 
-val run : t -> Tuple.t list
-val run_batch : t -> Batch.t
-(** Execute, charging the captured {!Stats}. *)
+val run : ?args:Value.t array -> t -> Tuple.t list
+val run_batch : ?args:Value.t array -> t -> Batch.t
+(** Execute, charging the captured {!Stats}. A plan with parameters
+    reads [?N] from [args.(N - 1)] (the caller checks count and types);
+    the compiled form holds the arguments for this execution only. *)
 
-val run_profiled : t -> Tuple.t list * Profile.t
-val run_profiled_batch : t -> Batch.t * Profile.t
+val run_profiled : ?args:Value.t array -> t -> Tuple.t list * Profile.t
+val run_profiled_batch : ?args:Value.t array -> t -> Batch.t * Profile.t
 (** Like {!run}, but also builds the per-operator {!Profile.t} tree, whose
     counter sums equal the statement's Stats delta. *)
 

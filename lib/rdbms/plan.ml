@@ -9,6 +9,7 @@ type header = header_col array
 type rexpr =
   | R_col of int
   | R_lit of Value.t
+  | R_param of int
 
 type rcond =
   | R_cmp of rexpr * Sql_ast.cmp_op * rexpr
@@ -29,15 +30,15 @@ type t =
   | Index_scan of {
       table : Catalog.table;
       index : Index.t;
-      key : Value.t;
+      key : rexpr;
       header : header;
       filter : rcond option;
     }
   | Range_scan of {
       table : Catalog.table;
       oindex : Ordered_index.t;
-      lo : (Value.t * bool) option;
-      hi : (Value.t * bool) option;
+      lo : (rexpr * bool) option;
+      hi : (rexpr * bool) option;
       header : header;
       filter : rcond option;
     }
@@ -103,40 +104,45 @@ let rec header_of = function
   | Distinct p | Sort { input = p; _ } -> header_of p
   | Union_all (a, _) | Union_distinct (a, _) | Except_distinct (a, _) -> header_of a
 
-let eval_rexpr e row =
+let eval_rexpr args e row =
   match e with
   | R_col i -> row.(i)
   | R_lit v -> v
+  | R_param n -> args.(n - 1)
 
-let rec eval_rcond c row =
+let rec eval_rcond args c row =
   match c with
-  | R_cmp (a, op, b) -> Sql_ast.eval_cmp op (eval_rexpr a row) (eval_rexpr b row)
-  | R_and (a, b) -> eval_rcond a row && eval_rcond b row
-  | R_or (a, b) -> eval_rcond a row || eval_rcond b row
-  | R_not a -> not (eval_rcond a row)
+  | R_cmp (a, op, b) -> Sql_ast.eval_cmp op (eval_rexpr args a row) (eval_rexpr args b row)
+  | R_and (a, b) -> eval_rcond args a row && eval_rcond args b row
+  | R_or (a, b) -> eval_rcond args a row || eval_rcond args b row
+  | R_not a -> not (eval_rcond args a row)
 
 (* Compiled forms: dispatch on the expression AST once, yielding a closure
-   with no per-row constructor matching (the Exec_compiled hot path). *)
-let compile_rexpr e =
+   with no per-row constructor matching (the Exec_compiled hot path). A
+   parameter is read from the argument cell at each call. *)
+let compile_rexpr args e =
   match e with
   | R_col i -> fun (row : Tuple.t) -> row.(i)
   | R_lit v -> fun _ -> v
+  | R_param n -> fun _ -> !args.(n - 1)
 
-let rec compile_rcond c =
+let rec compile_rcond args c =
   match c with
   | R_cmp (R_col i, op, R_lit v) -> fun (row : Tuple.t) -> Sql_ast.eval_cmp op row.(i) v
   | R_cmp (R_col i, op, R_col j) -> fun (row : Tuple.t) -> Sql_ast.eval_cmp op row.(i) row.(j)
+  | R_cmp (R_col i, op, R_param n) ->
+      fun (row : Tuple.t) -> Sql_ast.eval_cmp op row.(i) !args.(n - 1)
   | R_cmp (a, op, b) ->
-      let fa = compile_rexpr a and fb = compile_rexpr b in
+      let fa = compile_rexpr args a and fb = compile_rexpr args b in
       fun row -> Sql_ast.eval_cmp op (fa row) (fb row)
   | R_and (a, b) ->
-      let fa = compile_rcond a and fb = compile_rcond b in
+      let fa = compile_rcond args a and fb = compile_rcond args b in
       fun row -> fa row && fb row
   | R_or (a, b) ->
-      let fa = compile_rcond a and fb = compile_rcond b in
+      let fa = compile_rcond args a and fb = compile_rcond args b in
       fun row -> fa row || fb row
   | R_not a ->
-      let fa = compile_rcond a in
+      let fa = compile_rcond args a in
       fun row -> not (fa row)
 
 let rexpr_to_string header e =
@@ -150,6 +156,7 @@ let rexpr_to_string header e =
         let c = header.(i) in
         if c.h_qual = "" then c.h_name else c.h_qual ^ "." ^ c.h_name
   | R_lit v -> Value.to_sql v
+  | R_param n -> "?" ^ string_of_int n
 
 let rec rcond_to_string header = function
   | R_cmp (a, op, b) ->
@@ -169,12 +176,12 @@ let op_label p =
       Printf.sprintf "SeqScan %s%s" table.Catalog.tbl_name (filter_str header filter)
   | Index_scan { table; index; key; header; filter } ->
       Printf.sprintf "IndexScan %s via %s = %s%s" table.Catalog.tbl_name (Index.name index)
-        (Value.to_sql key) (filter_str header filter)
+        (rexpr_to_string header key) (filter_str header filter)
   | Range_scan { table; oindex; lo; hi; header; filter } ->
       let bound prefix = function
         | None -> ""
-        | Some (v, incl) ->
-            Printf.sprintf " %s%s %s" prefix (if incl then "=" else "") (Value.to_sql v)
+        | Some (e, incl) ->
+            Printf.sprintf " %s%s %s" prefix (if incl then "=" else "") (rexpr_to_string header e)
       in
       Printf.sprintf "RangeScan %s via %s%s%s%s" table.Catalog.tbl_name
         (Ordered_index.name oindex) (bound ">" lo) (bound "<" hi) (filter_str header filter)

@@ -14,6 +14,9 @@ type header = header_col array
 type rexpr =
   | R_col of int
   | R_lit of Value.t
+  | R_param of int
+      (** [?N]: argument [N - 1] of the execution. A plan with parameters
+          is planned once and run with each execution's arguments *)
 
 (** Conditions resolved against a header. *)
 type rcond =
@@ -36,15 +39,16 @@ type t =
   | Index_scan of {
       table : Catalog.table;
       index : Index.t;
-      key : Value.t;
+      key : rexpr;  (** an [R_lit] or an [R_param] *)
       header : header;
       filter : rcond option;  (** residual beyond the index equality *)
     }
   | Range_scan of {
       table : Catalog.table;
       oindex : Ordered_index.t;
-      lo : (Value.t * bool) option;  (** bound value, inclusive? *)
-      hi : (Value.t * bool) option;
+      lo : (rexpr * bool) option;
+          (** bound ([R_lit] or [R_param]), inclusive? *)
+      hi : (rexpr * bool) option;
       header : header;
       filter : rcond option;  (** residual beyond the range *)
     }
@@ -108,14 +112,15 @@ type t =
 
 val header_of : t -> header
 
-val eval_rexpr : rexpr -> Tuple.t -> Value.t
-val eval_rcond : rcond -> Tuple.t -> bool
+val eval_rexpr : Value.t array -> rexpr -> Tuple.t -> Value.t
+val eval_rcond : Value.t array -> rcond -> Tuple.t -> bool
+(** Evaluate against a row, reading [R_param n] from [args.(n - 1)]. *)
 
-val compile_rexpr : rexpr -> Tuple.t -> Value.t
-val compile_rcond : rcond -> Tuple.t -> bool
+val compile_rexpr : Value.t array ref -> rexpr -> Tuple.t -> Value.t
+val compile_rcond : Value.t array ref -> rcond -> Tuple.t -> bool
 (** Like {!eval_rexpr}/{!eval_rcond} but dispatching on the AST once at
-    compile time; the returned closures are semantically identical to the
-    interpreted forms. *)
+    compile time; the closures read the arguments from the cell at each
+    call, so one compiled form serves every execution. *)
 
 val op_label : t -> string
 (** One-line description of the operator itself (no children); the lines

@@ -115,8 +115,12 @@ let header_of_items scope (layout : layout) width : Plan.header =
     layout;
   header
 
+(* A parameter carries no type here: {!param_types} typed it from the
+   same comparisons before planning began, and the engine checks each
+   execution's arguments against those types. *)
 let compile_scalar scope layout s : Plan.rexpr * Datatype.t option =
   match s with
+  | Lit (L_param n) -> (Plan.R_param n, None)
   | Lit l ->
       let v = value_of_literal l in
       (Plan.R_lit v, Some (Datatype.of_value v))
@@ -152,6 +156,20 @@ let conjoin = function
 (* Scan planning: apply local predicates, using an index when an equality
    with a literal mentions an indexed column. *)
 
+(* Can [l] serve as an index key or range bound on column [cr]? A literal
+   of another type cannot (the comparison then fails to type-check); a
+   parameter always can, being typed by that column. *)
+let literal_fits scope cr l =
+  match l with
+  | L_param _ -> true
+  | L_int _ | L_str _ ->
+      let _, _, ty = resolve scope cr in
+      Datatype.equal ty (Datatype.of_value (value_of_literal l))
+
+let key_of_literal = function
+  | L_param n -> Plan.R_param n
+  | l -> Plan.R_lit (value_of_literal l)
+
 let plan_scan ?(costed = false) catalog scope i (local_conds : cond list) : Plan.t =
   let si = scope.(i) in
   let layout = [ (i, 0) ] in
@@ -160,12 +178,10 @@ let plan_scan ?(costed = false) catalog scope i (local_conds : cond list) : Plan
   let index_candidate c =
     match c with
     | Cmp (Col cr, Eq, Lit l) | Cmp (Lit l, Eq, Col cr) -> (
-        let _, _, ty = resolve scope cr in
-        let v = value_of_literal l in
-        if not (Datatype.equal ty (Datatype.of_value v)) then None
+        if not (literal_fits scope cr l) then None
         else
           match Catalog.find_index catalog ~table:si.si_table.Catalog.tbl_name ~column:cr.column with
-          | Some idx -> Some (idx, v)
+          | Some idx -> Some (idx, key_of_literal l)
           | None -> None)
     | _ -> None
   in
@@ -196,15 +212,13 @@ let plan_scan ?(costed = false) catalog scope i (local_conds : cond list) : Plan
         in
         match oriented with
         | Some (cr, op, l) when op <> Neq -> (
-            let _, _, ty = resolve scope cr in
-            let v = value_of_literal l in
-            if not (Datatype.equal ty (Datatype.of_value v)) then None
+            if not (literal_fits scope cr l) then None
             else
               match
                 Catalog.find_ordered_index catalog ~table:si.si_table.Catalog.tbl_name
                   ~column:cr.column
               with
-              | Some oidx -> Some (oidx, op, v)
+              | Some oidx -> Some (oidx, op, key_of_literal l)
               | None -> None)
         | _ -> None
       in
@@ -215,43 +229,35 @@ let plan_scan ?(costed = false) catalog scope i (local_conds : cond list) : Plan
           let filter = conjoin (List.map (compile_cond scope layout) residual_conds) in
           Plan.Seq_scan { table = si.si_table; header; filter }
       | Some (oidx, _, _) ->
-          let tighten_lo cur (v, incl) =
-            match cur with
-            | None -> Some (v, incl)
-            | Some (v', incl') ->
-                let c = Value.compare v v' in
-                if c > 0 || (c = 0 && not incl) then Some (v, incl) else Some (v', incl')
-          in
-          let tighten_hi cur (v, incl) =
-            match cur with
-            | None -> Some (v, incl)
-            | Some (v', incl') ->
-                let c = Value.compare v v' in
-                if c < 0 || (c = 0 && not incl) then Some (v, incl) else Some (v', incl')
+          (* keep the tighter of two literal bounds; a parameter's value
+             is unknown until execution, so beside another bound on the
+             same side it stays a filter instead *)
+          let tighten ~sign bound (e, incl) =
+            match (!bound, e) with
+            | None, _ ->
+                bound := Some (e, incl);
+                true
+            | Some (Plan.R_lit v', incl'), Plan.R_lit v ->
+                let c = sign * Value.compare v v' in
+                if c > 0 || (c = 0 && (not incl) && incl') then bound := Some (e, incl);
+                true
+            | Some _, _ -> false
           in
           let lo = ref None and hi = ref None in
           let leftovers =
             List.filter
               (fun c ->
                 match range_candidate c with
-                | Some (oidx', op, v) when Ordered_index.name oidx' = Ordered_index.name oidx -> (
+                | Some (oidx', op, e) when Ordered_index.name oidx' = Ordered_index.name oidx -> (
                     match op with
                     | Eq ->
-                        lo := tighten_lo !lo (v, true);
-                        hi := tighten_hi !hi (v, true);
-                        false
-                    | Lt ->
-                        hi := tighten_hi !hi (v, false);
-                        false
-                    | Le ->
-                        hi := tighten_hi !hi (v, true);
-                        false
-                    | Gt ->
-                        lo := tighten_lo !lo (v, false);
-                        false
-                    | Ge ->
-                        lo := tighten_lo !lo (v, true);
-                        false
+                        let l = tighten ~sign:1 lo (e, true) in
+                        let h = tighten ~sign:(-1) hi (e, true) in
+                        not (l && h)
+                    | Lt -> not (tighten ~sign:(-1) hi (e, false))
+                    | Le -> not (tighten ~sign:(-1) hi (e, true))
+                    | Gt -> not (tighten ~sign:1 lo (e, false))
+                    | Ge -> not (tighten ~sign:1 lo (e, true))
                     | Neq -> true)
                 | _ -> true)
               residual_conds
@@ -554,7 +560,7 @@ let output_name idx item =
   | Sel_agg (fn, Lit _, None) -> lc (Sql_ast.agg_fn_to_string fn)
   | Sel_star -> err "internal: star in projection"
 
-let plan_projection scope layout input items =
+let plan_projection params scope layout input items =
   let has_count = List.exists (function Sel_count_star _ -> true | _ -> false) items in
   if has_count then begin
     (match items with
@@ -571,7 +577,11 @@ let plan_projection scope layout input items =
           match item with
           | Sel_expr (s, _) ->
               let re, ty = compile_scalar scope layout s in
-              let ty = Option.value ty ~default:Datatype.TStr in
+              let ty =
+                match s with
+                | Lit (L_param n) -> params.(n - 1)
+                | _ -> Option.value ty ~default:Datatype.TStr
+              in
               (re, { Plan.h_qual = ""; h_name = output_name idx item; h_type = ty })
           | Sel_count_star _ | Sel_agg _ | Sel_star -> err "internal: bad projection item")
         items
@@ -639,7 +649,7 @@ let plan_aggregate scope layout input items group_by =
   let pos_of_col c =
     match compile_scalar scope layout (Col c) with
     | Plan.R_col p, _ -> p
-    | Plan.R_lit _, _ -> err "internal: column compiled to a literal"
+    | (Plan.R_lit _ | Plan.R_param _), _ -> err "internal: column compiled to a literal"
   in
   let input_header = Plan.header_of input in
   let key_positions = List.map pos_of_col group_by in
@@ -743,7 +753,7 @@ let greedy_order catalog scope per_table joins =
   done;
   List.rev !order
 
-let plan_core ?(join_order = Syntactic) catalog core =
+let plan_core ~params ~join_order catalog core =
   let scope = scope_of_from catalog core.from in
   let n = Array.length scope in
   let all_conjuncts = match core.where with Some c -> split_and c | None -> [] in
@@ -797,9 +807,9 @@ let plan_core ?(join_order = Syntactic) catalog core =
     | [ Sel_star ] when not has_agg -> with_anti
     | [ Sel_count_star _ ] when core.group_by = [] ->
         (* fast path kept from the pre-aggregate engine *)
-        plan_projection scope layout with_anti core.items
+        plan_projection params scope layout with_anti core.items
     | items when has_agg -> plan_aggregate scope layout with_anti items core.group_by
-    | items -> plan_projection scope layout with_anti items
+    | items -> plan_projection params scope layout with_anti items
   in
   if core.distinct then Plan.Distinct projected else projected
 
@@ -812,24 +822,146 @@ let check_compat a b ctx =
         err "%s: column %d types differ" ctx (i + 1))
     ha
 
-let rec plan_query ?(join_order = Syntactic) catalog q =
-  match q with
-  | Q_select core -> plan_core ~join_order catalog core
-  | Q_union (a, b) ->
-      let pa = plan_query ~join_order catalog a and pb = plan_query ~join_order catalog b in
-      check_compat pa pb "UNION";
-      Plan.Union_distinct (pa, pb)
-  | Q_union_all (a, b) ->
-      let pa = plan_query ~join_order catalog a and pb = plan_query ~join_order catalog b in
-      check_compat pa pb "UNION ALL";
-      Plan.Union_all (pa, pb)
-  | Q_except (a, b) ->
-      let pa = plan_query ~join_order catalog a and pb = plan_query ~join_order catalog b in
-      check_compat pa pb "EXCEPT";
-      Plan.Except_distinct (pa, pb)
+(* Parameter typing, before planning: a [?N] takes the type of the column
+   or literal it is compared with (or is inserted into, or assigned to),
+   recorded in [types.(N - 1)]. Scopes are those the planner resolves in
+   (a NOT EXISTS subquery sees the outer FROM items too) and are built
+   only for a core that holds a parameter. *)
+let note_param types n ty =
+  if n > Array.length types then err "parameter ?%d has no value" n;
+  match (types.(n - 1), ty) with
+  | Some a, Some b when not (Datatype.equal a b) ->
+      err "parameter ?%d is used as both %s and %s" n (Datatype.to_string a) (Datatype.to_string b)
+  | None, Some _ -> types.(n - 1) <- ty
+  | _ -> ()
 
-let plan_select_stmt ?join_order catalog q order_by =
-  let p = plan_query ?join_order catalog q in
+let infer_params catalog q types =
+  let rec core outer c =
+    let scope = lazy (Array.append outer (scope_of_from catalog c.from)) in
+    let type_of = function
+      | Col cr ->
+          let _, _, ty = resolve (Lazy.force scope) cr in
+          Some ty
+      | Lit (L_param _) -> None
+      | Lit l -> Some (Datatype.of_value (value_of_literal l))
+    in
+    let side x other =
+      match x with Lit (L_param n) -> note_param types n (type_of other) | _ -> ()
+    in
+    let rec cond = function
+      | Cmp (a, _, b) ->
+          side a b;
+          side b a
+      | And (a, b) | Or (a, b) ->
+          cond a;
+          cond b
+      | Not a -> cond a
+      | Not_exists inner -> core (Lazy.force scope) inner
+    in
+    Option.iter cond c.where;
+    List.iter
+      (function
+        | Sel_expr (Lit (L_param n), _) | Sel_agg (_, Lit (L_param n), _) -> note_param types n None
+        | Sel_expr _ | Sel_agg _ | Sel_star | Sel_count_star _ -> ())
+      c.items
+  in
+  let rec query = function
+    | Q_select c -> core [||] c
+    | Q_union (a, b) | Q_union_all (a, b) | Q_except (a, b) ->
+        query a;
+        query b
+  in
+  query q
+
+let param_types catalog stmt n =
+  let types = Array.make n None in
+  let schema table =
+    match Catalog.find_table catalog table with
+    | Some tbl -> Relation.schema tbl.Catalog.tbl_relation
+    | None -> err "no such table: %s" table
+  in
+  (* the WHERE of DELETE and UPDATE, read as the scan of their victims *)
+  let victims table =
+    Option.iter (fun c ->
+        infer_params catalog
+          (Q_select
+             {
+               distinct = false;
+               items = [ Sel_star ];
+               from = [ { table; alias = None } ];
+               where = Some c;
+               group_by = [];
+             })
+          types)
+  in
+  (* a parameter inserted into the [i]th column takes its type *)
+  let inserted table =
+    let cols = Array.of_list (Schema.types (schema table)) in
+    fun i l ->
+      match l with
+      | L_param n when i < Array.length cols -> note_param types n (Some cols.(i))
+      | _ -> ()
+  in
+  (match stmt with
+  | Select { query; _ } | Delete_in { query; _ } -> infer_params catalog query types
+  | Insert_select { table; query } ->
+      infer_params catalog query types;
+      let into = inserted table in
+      let rec items = function
+        | Q_select c ->
+            List.iteri
+              (fun i -> function Sel_expr (Lit l, _) -> into i l | _ -> ())
+              c.items
+        | Q_union (a, b) | Q_union_all (a, b) | Q_except (a, b) ->
+            items a;
+            items b
+      in
+      items query
+  | Insert_values { table; rows } -> List.iter (List.iteri (inserted table)) rows
+  | Delete { table; where } -> victims table where
+  | Update { table; sets; where } ->
+      let schema = schema table in
+      List.iter
+        (fun (col, e) ->
+          match e with
+          | Lit (L_param n) -> (
+              match Schema.find schema col with
+              | Some (_, def) -> note_param types n (Some def.Schema.col_type)
+              | None -> err "no column %s in %s" col table)
+          | Lit _ | Col _ -> ())
+        sets;
+      victims table where
+  | Create_table _ | Drop_table _ | Truncate _ | Create_index _ | Drop_index _ | Begin | Commit
+  | Rollback | Analyze _ ->
+      ());
+  Array.mapi
+    (fun i -> function
+      | Some ty -> ty
+      | None -> err "cannot infer the type of ?%d: compare it with a column" (i + 1))
+    types
+
+let plan_query ?(params = [||]) ?(join_order = Syntactic) catalog q =
+  (* refuse a parameter past [params]: it has neither type nor value *)
+  infer_params catalog q (Array.make (Array.length params) None);
+  let rec go = function
+    | Q_select core -> plan_core ~params ~join_order catalog core
+    | Q_union (a, b) ->
+        let pa = go a and pb = go b in
+        check_compat pa pb "UNION";
+        Plan.Union_distinct (pa, pb)
+    | Q_union_all (a, b) ->
+        let pa = go a and pb = go b in
+        check_compat pa pb "UNION ALL";
+        Plan.Union_all (pa, pb)
+    | Q_except (a, b) ->
+        let pa = go a and pb = go b in
+        check_compat pa pb "EXCEPT";
+        Plan.Except_distinct (pa, pb)
+  in
+  go q
+
+let plan_select_stmt ?params ?join_order catalog q order_by =
+  let p = plan_query ?params ?join_order catalog q in
   if order_by = [] then p
   else
     let header = Plan.header_of p in

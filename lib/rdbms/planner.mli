@@ -31,8 +31,34 @@ type join_order =
           statistics when available and falls back to a greedy order
           beyond 12 FROM items *)
 
-val plan_query : ?join_order:join_order -> Catalog.t -> Sql_ast.query -> Plan.t
+val param_types : Catalog.t -> Sql_ast.stmt -> int -> Datatype.t array
+(** [param_types catalog stmt n]: the types of [?1]..[?n] in [stmt]. A
+    parameter takes the type of the column or literal it is compared
+    with, of the column it is inserted into (by position, in VALUES or
+    in an INSERT ... SELECT's select list) or assigned to (UPDATE ...
+    SET). Raises {!Plan_error} for a parameter met by nothing
+    typed (one only in a select list, say), one used as two types, one
+    numbered past [n], and for the name-resolution errors planning would
+    raise. *)
+
+val plan_query :
+  ?params:Datatype.t array ->
+  ?join_order:join_order ->
+  Catalog.t ->
+  Sql_ast.query ->
+  Plan.t
+(** Plan a query whose parameters have the types [params] (default none:
+    a query with a parameter is then an error), from {!param_types}. The
+    plan reads each [?N] as {!Plan.R_param}, so it serves every
+    execution whatever the arguments: an equality with a parameter on an
+    indexed column still plans as an index scan, and a comparison with
+    one on an ordered-index column as a range bound. *)
 
 val plan_select_stmt :
-  ?join_order:join_order -> Catalog.t -> Sql_ast.query -> Sql_ast.order_key list -> Plan.t
+  ?params:Datatype.t array ->
+  ?join_order:join_order ->
+  Catalog.t ->
+  Sql_ast.query ->
+  Sql_ast.order_key list ->
+  Plan.t
 (** Plan a top-level SELECT including ORDER BY. *)

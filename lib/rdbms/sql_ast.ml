@@ -6,6 +6,7 @@ type column_ref = {
 type literal =
   | L_int of int
   | L_str of string
+  | L_param of int
 
 type scalar =
   | Col of column_ref
@@ -115,10 +116,71 @@ let tables_of_stmt = function
 let value_of_literal = function
   | L_int n -> Value.Int n
   | L_str s -> Value.Str s
+  | L_param n -> Sql_error.fail "parameter ?%d has no value" n
 
 let literal_of_value = function
   | Value.Int n -> L_int n
   | Value.Str s -> L_str s
+
+(* Rebuild a statement with every literal passed through [f]: the one walk
+   behind parameter numbering and binding. *)
+let map_literals f stmt =
+  let scalar = function Lit l -> Lit (f l) | Col _ as c -> c in
+  let rec cond = function
+    | Cmp (a, op, b) -> Cmp (scalar a, op, scalar b)
+    | And (a, b) -> And (cond a, cond b)
+    | Or (a, b) -> Or (cond a, cond b)
+    | Not c -> Not (cond c)
+    | Not_exists c -> Not_exists (core c)
+  and core c =
+    let item = function
+      | Sel_expr (e, a) -> Sel_expr (scalar e, a)
+      | Sel_agg (fn, e, a) -> Sel_agg (fn, scalar e, a)
+      | (Sel_star | Sel_count_star _) as i -> i
+    in
+    { c with items = List.map item c.items; where = Option.map cond c.where }
+  in
+  let rec query = function
+    | Q_select c -> Q_select (core c)
+    | Q_union (a, b) -> Q_union (query a, query b)
+    | Q_union_all (a, b) -> Q_union_all (query a, query b)
+    | Q_except (a, b) -> Q_except (query a, query b)
+  in
+  match stmt with
+  | Insert_values { table; rows } -> Insert_values { table; rows = List.map (List.map f) rows }
+  | Insert_select { table; query = q } -> Insert_select { table; query = query q }
+  | Delete { table; where } -> Delete { table; where = Option.map cond where }
+  | Delete_in { table; columns; query = q } -> Delete_in { table; columns; query = query q }
+  | Update { table; sets; where } ->
+      Update
+        {
+          table;
+          sets = List.map (fun (c, e) -> (c, scalar e)) sets;
+          where = Option.map cond where;
+        }
+  | Select { query = q; order_by } -> Select { query = query q; order_by }
+  | Create_table _ | Drop_table _ | Truncate _ | Create_index _ | Drop_index _ | Begin | Commit
+  | Rollback | Analyze _ ->
+      stmt
+
+let param_indexes stmt =
+  let seen = ref [] in
+  ignore
+    (map_literals
+       (function
+         | L_param n as l ->
+             seen := n :: !seen;
+             l
+         | l -> l)
+       stmt);
+  List.sort_uniq compare !seen
+
+let bind args stmt =
+  map_literals
+    (function
+      | L_param n -> literal_of_value args.(n - 1)
+      | l -> l)
+    stmt
 
 let cmp_op_to_string = function
   | Eq -> "="

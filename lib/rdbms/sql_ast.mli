@@ -15,6 +15,10 @@ type column_ref = {
 type literal =
   | L_int of int
   | L_str of string
+  | L_param of int
+      (** [?N] (N >= 1): a parameter whose value each execution supplies.
+          It takes the type of the column it is compared with (or
+          inserted into, or assigned to); see {!Engine.exec_prepared} *)
 
 type scalar =
   | Col of column_ref
@@ -124,7 +128,17 @@ val tables_of_stmt : stmt -> string list
     cache's cardinality-bucketed keys. *)
 
 val value_of_literal : literal -> Value.t
+(** Raises {!Sql_error.Sql_error} on an [L_param], a parameter given no
+    value. *)
+
 val literal_of_value : Value.t -> literal
+
+val param_indexes : stmt -> int list
+(** The parameter numbers a statement uses, sorted and duplicate-free. *)
+
+val bind : Value.t array -> stmt -> stmt
+(** Replace every [?N] by the literal of [args.(N - 1)]: the statement
+    as if written with its values (the form the WAL logs). *)
 
 val cmp_op_to_string : cmp_op -> string
 (** SQL spelling, e.g. ["<>"]. *)

@@ -2,6 +2,7 @@ type token =
   | IDENT of string
   | INT of int
   | STRING of string
+  | PARAM of int
   | LPAREN
   | RPAREN
   | COMMA
@@ -26,6 +27,7 @@ let token_to_string = function
   | IDENT s -> s
   | INT n -> string_of_int n
   | STRING s -> "'" ^ s ^ "'"
+  | PARAM n -> "?" ^ string_of_int n
   | LPAREN -> "("
   | RPAREN -> ")"
   | COMMA -> ","
@@ -63,6 +65,17 @@ let tokenize input =
         (match int_of_string_opt (String.sub input i (!j - i)) with
         | Some v -> emit (INT v) i
         | None -> raise (Lex_error ("integer literal out of range", i)));
+        loop !j
+      end
+      else if c = '?' && i + 1 < n && is_digit input.[i + 1] then begin
+        (* a parameter ?N: its value comes with each execution *)
+        let j = ref (i + 1) in
+        while !j < n && is_digit input.[!j] do incr j done;
+        let text = String.sub input i (!j - i) in
+        (match int_of_string_opt (String.sub text 1 (String.length text - 1)) with
+        | Some v when v >= 1 -> emit (PARAM v) i
+        | Some _ -> raise (Lex_error ("parameters are numbered from ?1, found " ^ text, i))
+        | None -> raise (Lex_error ("parameter " ^ text ^ " out of range", i)));
         loop !j
       end
       else if c = '\'' then begin

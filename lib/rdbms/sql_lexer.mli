@@ -5,6 +5,7 @@ type token =
   | IDENT of string
   | INT of int
   | STRING of string
+  | PARAM of int  (** [?N], N >= 1: a parameter bound at execution *)
   | LPAREN
   | RPAREN
   | COMMA
@@ -24,7 +25,9 @@ exception Lex_error of string * int
 
 val tokenize : string -> (token * int) list
 (** All tokens with their starting byte offsets, ending with [EOF].
-    Raises {!Lex_error} on an invalid character, an unterminated string
-    or an integer literal that does not fit in an [int]. *)
+    Raises {!Lex_error} on an invalid character, an unterminated string,
+    an integer literal that does not fit in an [int], or a parameter
+    [?N] whose N is 0 or does not fit in an [int]. A [?N] inside a quoted
+    string is text. *)
 
 val token_to_string : token -> string

@@ -44,11 +44,12 @@ let parse_literal st =
   match peek st with
   | Sql_lexer.INT n, _ -> advance st; L_int n
   | Sql_lexer.STRING s, _ -> advance st; L_str s
+  | Sql_lexer.PARAM n, _ -> advance st; L_param n
   | _ -> error st "expected literal"
 
 let parse_scalar st =
   match peek st with
-  | Sql_lexer.INT _, _ | Sql_lexer.STRING _, _ -> Lit (parse_literal st)
+  | Sql_lexer.INT _, _ | Sql_lexer.STRING _, _ | Sql_lexer.PARAM _, _ -> Lit (parse_literal st)
   | Sql_lexer.IDENT _, _ ->
       let first = ident st in
       if fst (peek st) = Sql_lexer.DOT then begin

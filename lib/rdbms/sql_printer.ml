@@ -3,6 +3,7 @@ open Sql_ast
 let literal = function
   | L_int n -> string_of_int n
   | L_str s -> Value.to_sql (Value.Str s)
+  | L_param n -> "?" ^ string_of_int n
 
 let column_ref { qualifier; column } =
   match qualifier with

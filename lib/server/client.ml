@@ -102,7 +102,7 @@ let exec t name args =
     List.map
       (fun a ->
         if a <> "" && String.for_all (fun c -> c <> ' ' && c <> '\t' && c <> '\'') a then a
-        else Protocol.sql_literal a)
+        else Protocol.quote_arg a)
       args
   in
   command t (String.concat " " (("EXEC " ^ name) :: quoted))

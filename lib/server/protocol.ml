@@ -3,8 +3,8 @@
    Requests are single lines, keyword first (case-insensitive):
 
      SQL <statement>            execute one SQL statement
-     PREPARE <name> <template>  register a parameterized template (?1..?N)
-     EXEC <name> [arg ...]      run a template with SQL-quoted arguments
+     PREPARE <name> <template>  parse a statement with parameters ?1..?N
+     EXEC <name> [arg ...]      run a template, binding one argument each
      BASE <name> <col:type ...> define a base relation (types int | str)
      QUERY <goal>               compile and evaluate a Datalog goal
      RULE <clause>              add a workspace rule
@@ -15,6 +15,14 @@
      PING                       liveness probe
      QUIT                       close this connection
      SHUTDOWN                   stop the whole server
+
+   PREPARE parses the template once for the connection and answers ERR
+   for a syntax error. EXEC binds its words, single quotes grouping
+   spaces, to ?1..?N as typed values: each parameter takes the type of
+   the column it meets, so for a char column 007 is the string '007',
+   and for an integer column an argument that is not a decimal integer
+   in range, like 0x1, is an ERR, as is a wrong number of arguments.
+   No argument ever becomes SQL text.
 
    Responses are a status line — "OK" with optional "key=value" fields,
    or "ERR <message>" — followed by zero or more body lines (a
@@ -140,79 +148,14 @@ let parse_request line =
   | "" -> Error "empty request"
   | other -> Error (Printf.sprintf "unknown request: %s" other)
 
-(* ------------------------------------------------------------------ *)
-(* Parameter substitution *)
-
-(* An integer-looking argument becomes an SQL integer literal; anything
-   else a quoted string. The substituted text is ordinary SQL, so
-   repeated EXECs with the same arguments hit the engine's prepared-
-   statement cache on the exact text. *)
-let sql_literal arg =
-  match int_of_string_opt arg with
-  | Some n -> string_of_int n
-  | None ->
-      let buf = Buffer.create (String.length arg + 2) in
-      Buffer.add_char buf '\'';
-      String.iter
-        (fun c -> if c = '\'' then Buffer.add_string buf "''" else Buffer.add_char buf c)
-        arg;
-      Buffer.add_char buf '\'';
-      Buffer.contents buf
-
-let substitute template args =
-  let args = Array.of_list args in
-  let n = String.length template in
-  let buf = Buffer.create (n + 16) in
-  let used = Array.make (Array.length args) false in
-  (* the index just past the quote closing a literal whose body starts at
-     [j] ('' is an escaped quote, not the end); an unclosed literal runs
-     to the end of the template *)
-  let rec literal_end j =
-    if j >= n then n
-    else if template.[j] <> '\'' then literal_end (j + 1)
-    else if j + 1 < n && template.[j + 1] = '\'' then literal_end (j + 2)
-    else j + 1
-  in
-  let rec go i =
-    if i >= n then Ok ()
-    else if template.[i] = '\'' then begin
-      (* a quoted literal is copied as is: a ?N inside it is text *)
-      let j = literal_end (i + 1) in
-      Buffer.add_substring buf template i (j - i);
-      go j
-    end
-    else if template.[i] = '?' && i + 1 < n && template.[i + 1] >= '1' && template.[i + 1] <= '9'
-    then begin
-      (* multi-digit placeholder indexes *)
-      let j = ref (i + 1) in
-      while !j < n && template.[!j] >= '0' && template.[!j] <= '9' do incr j done;
-      let digits = String.sub template (i + 1) (!j - i - 1) in
-      match int_of_string_opt digits with
-      | Some idx when idx <= Array.length args ->
-          used.(idx - 1) <- true;
-          Buffer.add_string buf (sql_literal args.(idx - 1));
-          go !j
-      | _ ->
-          (* an index past the argument list, or too large for an int *)
-          Error
-            (Printf.sprintf "placeholder ?%s but only %d arguments" digits (Array.length args))
-    end
-    else begin
-      Buffer.add_char buf template.[i];
-      go (i + 1)
-    end
-  in
-  match go 0 with
-  | Error _ as e -> e
-  | Ok () ->
-      let rec unused i =
-        if i >= Array.length used then None
-        else if not used.(i) then Some (i + 1)
-        else unused (i + 1)
-      in
-      (match unused 0 with
-      | Some i -> Error (Printf.sprintf "argument %d not used by the template" i)
-      | None -> Ok (Buffer.contents buf))
+(* The inverse of [tokenize] for one argument: quoted, with each quote
+   doubled. *)
+let quote_arg arg =
+  let buf = Buffer.create (String.length arg + 2) in
+  Buffer.add_char buf '\'';
+  String.iter (fun c -> if c = '\'' then Buffer.add_string buf "''" else Buffer.add_char buf c) arg;
+  Buffer.add_char buf '\'';
+  Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
 (* Response encoding *)

@@ -9,7 +9,9 @@
 type request =
   | Sql of string  (** [SQL <statement>] *)
   | Prepare of string * string  (** [PREPARE <name> <template with ?1..?N>] *)
-  | Exec of string * string list  (** [EXEC <name> [arg ...]] *)
+  | Exec of string * string list
+      (** [EXEC <name> [arg ...]]: the words, quotes removed, that bind
+          [?1]..[?N] *)
   | Base of string * (string * Rdbms.Datatype.t) list
       (** [BASE <name> <col:type ...>] — define a base relation and
           register it in the EDB dictionary (types [int] | [str]) *)
@@ -29,15 +31,9 @@ val parse_request : string -> (request, string) result
 val terminator : string
 (** ["."] — every response's final line. *)
 
-val substitute : string -> string list -> (string, string) result
-(** [substitute template args] replaces [?1]..[?N] with the arguments as
-    SQL literals (integers bare, everything else quoted). Single-quoted
-    literals in the template, [''] escapes included, are left alone: a
-    [?N] inside one is text. Errors on a placeholder past the argument
-    list or an argument no placeholder uses. *)
-
-val sql_literal : string -> string
-(** The SQL literal form substitution uses for one argument. *)
+val quote_arg : string -> string
+(** One EXEC argument quoted for the request tokenizer: ['a b'], with a
+    quote inside doubled. *)
 
 val status_ok : (string * string) list -> string
 val status_err : string -> string

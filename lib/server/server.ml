@@ -26,7 +26,7 @@ type conn = {
   c_session : Session.t;
   c_inbuf : Buffer.t; (* the incomplete line read so far *)
   mutable c_pending : string list; (* complete request lines, oldest first *)
-  c_prepared : (string, string) Hashtbl.t; (* PREPARE templates *)
+  c_prepared : (string, Engine.prepared) Hashtbl.t; (* PREPARE templates, parsed *)
   mutable c_snapshot : int option; (* open snapshot timestamp *)
   mutable c_open : bool;
 }
@@ -165,7 +165,7 @@ let rows_response columns rows =
 let safe_during_query conn = function
   | Protocol.Ping | Protocol.Stats | Protocol.Begin_snapshot -> true
   | Protocol.Sql sql -> conn.c_snapshot <> None && is_select sql
-  | Protocol.Exec _ -> conn.c_snapshot <> None (* resolved text re-checked below *)
+  | Protocol.Exec _ -> conn.c_snapshot <> None (* the template's kind is checked below *)
   | Protocol.Commit | Protocol.Rollback -> conn.c_snapshot <> None
   | Protocol.Query _ | Protocol.Rule _ | Protocol.Prepare _ | Protocol.Base _
   | Protocol.Begin | Protocol.Quit | Protocol.Shutdown ->
@@ -182,6 +182,20 @@ let engine_result conn = function
   | Ok Engine.Done -> respond conn (Protocol.status_ok []) []
   | Error msg -> respond conn (Protocol.status_err msg) []
 
+(* The gate every statement passes, as SQL text or as a template: in a
+   snapshot only a SELECT runs, against the snapshot; otherwise a write is
+   refused while another connection holds the write transaction. [run]
+   gets the snapshot timestamp, if one is open. *)
+let run_gated t conn ~select run =
+  match conn.c_snapshot with
+  | Some _ when not select ->
+      respond conn
+        (Protocol.status_err "snapshot transactions are read-only: only SELECT is allowed")
+        []
+  | None when (not select) && match t.s_writer with Some w -> w != conn | None -> false ->
+      respond conn (Protocol.status_err "busy: another connection holds the write transaction") []
+  | ts -> engine_result conn (run ts)
+
 let rec handle t conn req =
   match req with
   | Protocol.Ping ->
@@ -194,20 +208,29 @@ let rec handle t conn req =
         [ Protocol.encode_line [ Rdbms.Stats.to_string (Session.db_stats conn.c_session) ] ];
       Keep
   | Protocol.Prepare (name, template) ->
-      Hashtbl.replace conn.c_prepared name template;
-      respond conn (Protocol.status_ok []) [];
+      (match Session.prepare conn.c_session template with
+      | Ok p ->
+          Hashtbl.replace conn.c_prepared name p;
+          respond conn (Protocol.status_ok []) []
+      | Error msg ->
+          Hashtbl.remove conn.c_prepared name;
+          respond conn (Protocol.status_err msg) []);
       Keep
   | Protocol.Exec (name, args) -> (
       match Hashtbl.find_opt conn.c_prepared name with
       | None ->
           respond conn (Protocol.status_err (Printf.sprintf "no prepared template: %s" name)) [];
           Keep
-      | Some template -> (
-          match Protocol.substitute template args with
-          | Error msg ->
-              respond conn (Protocol.status_err msg) [];
-              Keep
-          | Ok sql -> handle t conn (Protocol.Sql sql)))
+      | Some p -> (
+          match (Engine.prepared_stmt p, args) with
+          (* transaction control goes through its handlers, as in SQL text *)
+          | Rdbms.Sql_ast.Begin, [] -> handle t conn Protocol.Begin
+          | Rdbms.Sql_ast.Commit, [] -> handle t conn Protocol.Commit
+          | Rdbms.Sql_ast.Rollback, [] -> handle t conn Protocol.Rollback
+          | stmt, _ ->
+              let select = match stmt with Rdbms.Sql_ast.Select _ -> true | _ -> false in
+              run_gated t conn ~select (fun ts -> Session.exec_prepared conn.c_session ?ts p args);
+              Keep))
   | Protocol.Sql sql -> (
       match first_keyword sql with
       (* route transaction-control SQL through the protocol handlers so
@@ -216,39 +239,14 @@ let rec handle t conn req =
       | "COMMIT" -> handle t conn Protocol.Commit
       | "ROLLBACK" -> handle t conn Protocol.Rollback
       | "BEGIN SNAPSHOT" -> handle t conn Protocol.Begin_snapshot
-      | kw -> (
-          match conn.c_snapshot with
-          | Some ts ->
-              if kw <> "SELECT" then begin
-                respond conn
-                  (Protocol.status_err "snapshot transactions are read-only: only SELECT is allowed")
-                  [];
-                Keep
-              end
-              else begin
-                (match Session.snapshot_query conn.c_session ~ts sql with
-                | Ok (columns, rows) ->
-                    let status, body = rows_response columns rows in
-                    respond conn status body
-                | Error msg -> respond conn (Protocol.status_err msg) []);
-                Keep
-              end
-          | None ->
-              let blocked =
-                kw <> "SELECT"
-                &&
-                match t.s_writer with Some w -> w != conn | None -> false
-              in
-              if blocked then begin
-                respond conn
-                  (Protocol.status_err "busy: another connection holds the write transaction")
-                  [];
-                Keep
-              end
-              else begin
-                engine_result conn (Session.sql conn.c_session sql);
-                Keep
-              end))
+      | kw ->
+          run_gated t conn ~select:(kw = "SELECT") (function
+            | Some ts ->
+                Result.map
+                  (fun (columns, rows) -> Engine.Rows { columns; rows })
+                  (Session.snapshot_query conn.c_session ~ts sql)
+            | None -> Session.sql conn.c_session sql);
+          Keep)
   | Protocol.Begin ->
       if conn.c_snapshot <> None then begin
         respond conn

@@ -198,8 +198,17 @@ perfbench_smoke() {
   awk -v r="$ROWS" -v n="$NEW" 'BEGIN { exit !(n > 0 && r <= 2.3 * n) }' \
     || { echo "perfbench derive (traced): $ROWS rows inserted for $NEW new tuples (> 2.3 per tuple)"; exit 1; }
   echo "derive (traced): $ROWS rows inserted for $NEW new tuples (<= 2.3 per tuple)"
+  # a traced wire run: each connection's templates are parsed and planned
+  # once and every EXEC binds its arguments to them, so no op builds a
+  # plan after warm-up (arguments spliced into new SQL text built ~0.52
+  # plans per op)
+  traced wire
+  PLANS=$(metric engine.plans_built) || exit 1
+  awk -v p="$PLANS" 'BEGIN { exit !(p <= 0.01) }' \
+    || { echo "perfbench wire (traced): $PLANS plans built per op (> 0.01)"; exit 1; }
+  echo "wire (traced): $PLANS plans built per op (<= 0.01)"
 }
-gate "perfbench smoke (derive, maintain, wire; traced maintain plans, derive rows per tuple)" perfbench_smoke
+gate "perfbench smoke (derive, maintain, wire; traced maintain plans, derive rows per tuple, wire plans)" perfbench_smoke
 
 server_smoke() {
   DLOG=$(mktemp /tmp/dkb_ci_dkbd.XXXXXX)

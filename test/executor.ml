@@ -7,6 +7,7 @@ module Timer = Dkb_util.Timer
 type obs = {
   stats : Stats.t;
   node : Profile.t option;
+  args : Value.t array;  (* the execution's parameter values, ?N at N - 1 *)
 }
 
 (* Scan charge: the relation's simulated page count, heap-backed or not. *)
@@ -34,10 +35,10 @@ let charge_probe obs matched =
 
 let produced obs n = obs.stats.Stats.rows_read <- obs.stats.Stats.rows_read + n
 
-let keep filter row =
+let keep obs filter row =
   match filter with
   | None -> true
-  | Some c -> Plan.eval_rcond c row
+  | Some c -> Plan.eval_rcond obs.args c row
 
 let concat_rows a b =
   let la = Array.length a and lb = Array.length b in
@@ -58,21 +59,24 @@ let rec go obs plan =
   | Plan.Seq_scan { table; filter; _ } ->
       let rel = table.Catalog.tbl_relation in
       charge_scan obs rel;
-      let out = Relation.fold (fun acc row -> if keep filter row then row :: acc else acc) [] rel in
+      let out = Relation.fold (fun acc row -> if keep obs filter row then row :: acc else acc) [] rel in
       let rows = List.rev out in
       produced obs (List.length rows);
       rows
   | Plan.Index_scan { index; key; filter; _ } ->
-      let matched, bytes = Index.lookup_with_bytes index key in
+      let matched, bytes = Index.lookup_with_bytes index (Plan.eval_rexpr obs.args key [||]) in
       charge_probe_bytes obs bytes;
-      let rows = List.filter (keep filter) matched in
+      let rows = List.filter (keep obs filter) matched in
       produced obs (List.length rows);
       rows
   | Plan.Range_scan { oindex; lo; hi; filter; _ } ->
-      let bound = Option.map (fun (value, inclusive) -> { Ordered_index.value; inclusive }) in
+      let bound =
+        Option.map (fun (e, inclusive) ->
+            { Ordered_index.value = Plan.eval_rexpr obs.args e [||]; inclusive })
+      in
       let matched = Ordered_index.range oindex ?lo:(bound lo) ?hi:(bound hi) () in
       charge_probe obs matched;
-      let rows = List.filter (keep filter) matched in
+      let rows = List.filter (keep obs filter) matched in
       produced obs (List.length rows);
       rows
   | Plan.Nl_join { left; right; cond; _ } ->
@@ -84,7 +88,7 @@ let rec go obs plan =
           List.iter
             (fun r ->
               let row = concat_rows l r in
-              if keep cond row then out := row :: !out)
+              if keep obs cond row then out := row :: !out)
             rrows)
         lrows;
       let rows = List.rev !out in
@@ -119,7 +123,7 @@ let rec go obs plan =
               List.iter
                 (fun b ->
                   let row = if build_left then concat_rows b p else concat_rows p b in
-                  if keep residual row then out := row :: !out)
+                  if keep obs residual row then out := row :: !out)
                 matches)
         probe_rows;
       let rows = List.rev !out in
@@ -135,7 +139,7 @@ let rec go obs plan =
           List.iter
             (fun r ->
               let row = concat_rows l r in
-              if keep residual row then out := row :: !out)
+              if keep obs residual row then out := row :: !out)
             matched)
         lrows;
       let rows = List.rev !out in
@@ -153,7 +157,7 @@ let rec go obs plan =
           List.iter
             (fun r ->
               let row = concat_rows l r in
-              if keep residual row then out := row :: !out)
+              if keep obs residual row then out := row :: !out)
             matched)
         lrows;
       let rows = List.rev !out in
@@ -171,7 +175,7 @@ let rec go obs plan =
             fun l ->
               not
                 (List.exists
-                   (fun r -> keep residual (concat_rows l r))
+                   (fun r -> keep obs residual (concat_rows l r))
                    inner_rows)
         | _ ->
             let buckets = Key_tbl.create (List.length inner_rows * 2 + 1) in
@@ -186,14 +190,14 @@ let rec go obs plan =
               (match Key_tbl.find_opt buckets k with
               | None -> true
               | Some candidates ->
-                  not (List.exists (fun r -> keep residual (concat_rows l r)) candidates))
+                  not (List.exists (fun r -> keep obs residual (concat_rows l r)) candidates))
       in
       let rows = List.filter survives lrows in
       produced obs (List.length rows);
       rows
   | Plan.Project { input; exprs; _ } ->
       let rows = sub obs input in
-      List.map (fun row -> Array.map (fun e -> Plan.eval_rexpr e row) exprs) rows
+      List.map (fun row -> Array.map (fun e -> Plan.eval_rexpr obs.args e row) exprs) rows
   | Plan.Count_star { input; _ } ->
       let rows = sub obs input in
       [ [| Value.Int (List.length rows) |] ]
@@ -254,12 +258,12 @@ and dedupe rows =
   in
   List.rev out
 
-let run stats plan = go { stats; node = None } plan
+let run ?(args = [||]) stats plan = go { stats; node = None; args } plan
 
-let run_profiled stats plan =
+let run_profiled ?(args = [||]) stats plan =
   let root = Profile.make (Plan.op_label plan) in
   let t0 = Timer.now_ms () in
-  let rows = go { stats; node = Some root } plan in
+  let rows = go { stats; node = Some root; args } plan in
   root.Profile.ms <- Timer.now_ms () -. t0;
   root.Profile.rows <- List.length rows;
   (rows, root)

@@ -8,11 +8,12 @@
 
 open Rdbms
 
-val run : Stats.t -> Plan.t -> Tuple.t list
+val run : ?args:Value.t array -> Stats.t -> Plan.t -> Tuple.t list
 (** Evaluates a plan to its result rows (in deterministic order: scans
-    produce insertion order; joins are left-driven). *)
+    produce insertion order; joins are left-driven). A parameter [?N]
+    reads [args.(N - 1)]. *)
 
-val run_profiled : Stats.t -> Plan.t -> Tuple.t list * Profile.t
+val run_profiled : ?args:Value.t array -> Stats.t -> Plan.t -> Tuple.t list * Profile.t
 (** Like {!run}, but also builds a per-operator {!Profile.t} tree: each
     node carries the operator's own simulated-I/O charges (so tree sums
     equal the statement's {!Stats} delta), its output cardinality, and its

@@ -85,15 +85,15 @@ let plan_of e sql =
 (* Run [plan] under both executors, each charging its own fresh Stats.
    The compiled closure runs twice, as a cached prepared statement would:
    each run must match the interpreter's rows (in order) and charges. *)
-let compare_executors label plan =
+let compare_executors ?args label plan =
   let st_i = Stats.create () in
-  let rows_i = row_strings (Executor.run st_i plan) in
+  let rows_i = row_strings (Executor.run ?args st_i plan) in
   let st_c = Stats.create () in
   let compiled = Exec_compiled.compile st_c plan in
   List.iter
     (fun run ->
       let before = Stats.copy st_c in
-      let rows_c = row_strings (Exec_compiled.run compiled) in
+      let rows_c = row_strings (Exec_compiled.run ?args compiled) in
       let what = Printf.sprintf "%s (compiled run %d)" label run in
       Alcotest.(check (list (list string))) (what ^ ": rows (in order)") rows_i rows_c;
       check_stats (what ^ ": stats") st_i (Stats.diff st_c before))
@@ -106,8 +106,8 @@ let compare_executors label plan =
   in
   Alcotest.(check (list string))
     (label ^ ": profile trees")
-    (profiled (fun st -> Executor.run_profiled st plan))
-    (profiled (fun st -> Exec_compiled.run_profiled (Exec_compiled.compile st plan)))
+    (profiled (fun st -> Executor.run_profiled ?args st plan))
+    (profiled (fun st -> Exec_compiled.run_profiled ?args (Exec_compiled.compile st plan)))
 
 (* Compare the executors on the statement's plan, then let the engine run
    it (mutating the shared data for the statements that follow). *)
@@ -207,6 +207,59 @@ let run_battery e =
 
 let test_battery_indexed () = run_battery (seeded_engine 11)
 let test_battery_no_index () = run_battery (seeded_engine ~index:false 12)
+
+(* Templates with parameters, each planned once with its parameter types
+   and run by both executors under several argument vectors, as a cached
+   prepared statement is: index-probe keys, range bounds, residuals,
+   joins and a NOT EXISTS read the arguments. Each run must also give the
+   rows (as a multiset) of the literal text the arguments stand for. *)
+let param_battery =
+  let int rng = Value.Int (Rng.int rng 22)
+  and str rng = Value.Str (Printf.sprintf "s%d" (Rng.int rng 5)) in
+  [
+    ("SELECT v FROM big WHERE k = ?1", [ int ]);
+    ("SELECT v FROM big WHERE ?1 = k AND v <> ?2", [ int; str ]);
+    ("SELECT k FROM big WHERE v = ?1", [ str ]);
+    ("SELECT k, v FROM big WHERE k >= ?1 AND k < ?2 ORDER BY k, v", [ int; int ]);
+    ("SELECT v FROM big WHERE k > ?1 AND k > 4 AND k <= ?2", [ int; int ]);
+    ("SELECT b.v FROM small s, big b WHERE s.k = b.k AND s.w = ?1", [ str ]);
+    ("SELECT b.v, s.w FROM small s, big b WHERE s.k = b.k AND b.k < ?1", [ int ]);
+    ( "SELECT v FROM big WHERE NOT EXISTS (SELECT * FROM small s WHERE s.k = big.k AND s.w = ?1)",
+      [ str ] );
+    ("SELECT ?1, k FROM big WHERE v = ?1", [ str ]);
+    ("SELECT v, COUNT(*) FROM big WHERE k < ?1 GROUP BY v", [ int ]);
+    ("SELECT v FROM big WHERE k = ?1 UNION SELECT w FROM small WHERE k = ?1", [ int ]);
+  ]
+
+let test_param_battery () =
+  let e = seeded_engine 19 in
+  steps e [ "CREATE ORDERED INDEX oidx_big_k ON big (k)" ];
+  let rng = Rng.create 23 in
+  let sorted = List.sort compare in
+  List.iter
+    (fun (template, gens) ->
+      let stmt = Rdbms.Sql_parser.parse template in
+      let params = Planner.param_types (E.catalog e) stmt (List.length gens) in
+      let plan =
+        match stmt with
+        | Sql_ast.Select { query; order_by } ->
+            Planner.plan_select_stmt ~params (E.catalog e) query order_by
+        | _ -> assert false
+      in
+      for _ = 1 to 6 do
+        let args = Array.of_list (List.map (fun g -> g rng) gens) in
+        compare_executors ~args template plan;
+        let rows = row_strings (Executor.run ~args (Stats.create ()) plan) in
+        let literal = Rdbms.Sql_printer.stmt (Sql_ast.bind args stmt) in
+        let expected =
+          match plan_of e literal with
+          | Some lp -> row_strings (Executor.run (Stats.create ()) lp)
+          | None -> assert false
+        in
+        Alcotest.(check (list (list string))) (literal ^ ": literal rows") (sorted expected)
+          (sorted rows)
+      done)
+    param_battery
 
 let test_battery_join_orders () =
   let e = seeded_engine 13 in
@@ -453,6 +506,7 @@ let () =
         [
           Alcotest.test_case "operator battery, indexed" `Quick test_battery_indexed;
           Alcotest.test_case "operator battery, no index" `Quick test_battery_no_index;
+          Alcotest.test_case "battery with parameters" `Quick test_param_battery;
           Alcotest.test_case "battery under greedy/costed/syntactic" `Quick
             test_battery_join_orders;
           Alcotest.test_case "member join plans and charges" `Quick test_member_join_charges;

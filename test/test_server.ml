@@ -55,18 +55,15 @@ let test_protocol_basics () =
           (Astring.String.is_infix ~affix:"unknown" msg)
       | Ok _ -> Alcotest.fail "unknown request accepted"))
 
-(* A placeholder index too large for an int is a typed error, not an
-   exception: the server answers ERR and keeps serving the connection. *)
+(* A placeholder index too large for an int is a syntax error of the
+   template: PREPARE answers ERR naming it, and the connection keeps
+   being served. *)
 let test_placeholder_overflow () =
-  let huge = "SELECT ?99999999999999999999" in
-  (match Protocol.substitute huge [ "1" ] with
-  | Error _ -> ()
-  | Ok sql -> Alcotest.fail ("substituted " ^ sql));
+  let huge = "SELECT a FROM t WHERE a = ?99999999999999999999" in
   with_server (fun _engine port ->
       let c = connect port in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      ignore (ok (Client.prepare c "p" huge));
-      (match Client.exec c "p" [ "1" ] with
+      (match Client.prepare c "p" huge with
       | Error msg ->
           Alcotest.(check bool) "err names the placeholder" true
             (Astring.String.is_infix ~affix:"?99999999999999999999" msg)
@@ -74,16 +71,9 @@ let test_placeholder_overflow () =
       ok (Client.ping c))
 
 (* A ?N inside a quoted literal of the template is text: only the
-   placeholder outside quotes takes the argument, over the wire too. *)
+   placeholder outside quotes takes the argument. *)
 let test_placeholder_in_literal () =
   let template = "SELECT id FROM t WHERE name = '?1' AND id = ?1" in
-  Alcotest.(check (result string string))
-    "literal left alone" (Ok "SELECT id FROM t WHERE name = '?1' AND id = 5")
-    (Protocol.substitute template [ "5" ]);
-  Alcotest.(check (result string string))
-    "'' escapes stay inside the literal"
-    (Ok "SELECT 'it''s ?1', 'x' FROM t WHERE id = 7")
-    (Protocol.substitute "SELECT 'it''s ?1', ?2 FROM t WHERE id = ?1" [ "7"; "x" ]);
   with_server (fun _engine port ->
       let c = connect port in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -92,6 +82,81 @@ let test_placeholder_in_literal () =
       ignore (ok (Client.prepare c "p" template));
       let r = ok (Client.exec c "p" [ "5" ]) in
       Alcotest.(check (list (list string))) "only the row named '?1'" [ [ "5" ] ] (Client.rows r))
+
+(* EXEC binds each word as the type of the parameter it fills, never as
+   SQL text: 007 is the string '007' for a char column, and for an integer
+   column a word that is not a decimal integer in range is a typed ERR,
+   as is a wrong number of arguments. The connection survives each. *)
+let test_typed_binding () =
+  with_server (fun _engine port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      ignore (ok (Client.sql c "CREATE TABLE t (id integer, name char)"));
+      ignore (ok (Client.sql c "INSERT INTO t VALUES (1, '007'), (7, 'seven')"));
+      ignore (ok (Client.prepare c "by_name" "SELECT id FROM t WHERE name = ?1"));
+      let r = ok (Client.exec c "by_name" [ "007" ]) in
+      Alcotest.(check (list (list string))) "007 is the name '007'" [ [ "1" ] ] (Client.rows r);
+      ignore (ok (Client.prepare c "by_id" "SELECT name FROM t WHERE id = ?1"));
+      let r = ok (Client.exec c "by_id" [ "007" ]) in
+      Alcotest.(check (list (list string))) "007 is the integer 7" [ [ "seven" ] ] (Client.rows r);
+      let refused what args expect =
+        (match Client.exec c "by_id" args with
+        | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names %S" what msg expect)
+              true
+              (Astring.String.is_infix ~affix:expect msg)
+        | Ok _ -> Alcotest.fail (what ^ " accepted"));
+        ok (Client.ping c)
+      in
+      refused "hex" [ "0x1" ] "integer";
+      refused "underscore" [ "0_1" ] "integer";
+      refused "word" [ "abc" ] "integer";
+      refused "out of range" [ "99999999999999999999" ] "integer";
+      refused "too many" [ "1"; "2" ] "expected 1, got 2";
+      refused "too few" [] "expected 1, got 0";
+      (* a template with a syntax error is refused at PREPARE *)
+      (match Client.prepare c "bad" "SELECT FROM WHERE" with
+      | Error msg ->
+          Alcotest.(check bool) "syntax error reported" true
+            (Astring.String.is_infix ~affix:"parse error" msg)
+      | Ok _ -> Alcotest.fail "malformed template accepted");
+      ok (Client.ping c))
+
+(* A template passes the same gates as SQL text: a write waits for no
+   one but is refused while another connection holds BEGIN, and inside
+   a snapshot only a SELECT runs, against the pinned state. *)
+let test_exec_gates () =
+  with_server (fun _engine port ->
+      let c1 = connect port in
+      let c2 = connect port in
+      Fun.protect
+        ~finally:(fun () -> Client.close c1; Client.close c2)
+        (fun () ->
+          ignore (ok (Client.sql c1 "CREATE TABLE t (a integer)"));
+          ignore (ok (Client.prepare c2 "ins" "INSERT INTO t VALUES (?1)"));
+          ignore (ok (Client.prepare c2 "all" "SELECT a FROM t WHERE a > ?1"));
+          ignore (ok (Client.command c1 "BEGIN"));
+          (match Client.exec c2 "ins" [ "1" ] with
+          | Error msg ->
+              Alcotest.(check bool) "busy" true (Astring.String.is_infix ~affix:"busy" msg)
+          | Ok _ -> Alcotest.fail "templated write not gated");
+          ignore (ok (Client.command c1 "COMMIT"));
+          let r = ok (Client.exec c2 "ins" [ "1" ]) in
+          Alcotest.(check (option string)) "write after commit" (Some "1")
+            (Client.field r "affected");
+          ignore (ok (Client.begin_snapshot c2));
+          ignore (ok (Client.sql c1 "INSERT INTO t VALUES (2)"));
+          (match Client.exec c2 "ins" [ "3" ] with
+          | Error msg ->
+              Alcotest.(check bool) "read-only" true
+                (Astring.String.is_infix ~affix:"read-only" msg)
+          | Ok _ -> Alcotest.fail "templated write in a snapshot accepted");
+          let r = ok (Client.exec c2 "all" [ "0" ]) in
+          Alcotest.(check (list (list string))) "snapshot rows" [ [ "1" ] ] (Client.rows r);
+          ok (Client.commit c2);
+          let r = ok (Client.exec c2 "all" [ "0" ]) in
+          Alcotest.(check int) "live rows" 2 (List.length (Client.rows r))))
 
 (* An integer literal too large for an int is a lex error: the server
    answers ERR and keeps serving the connection. *)
@@ -349,6 +414,8 @@ let () =
           Alcotest.test_case "protocol basics" `Quick test_protocol_basics;
           Alcotest.test_case "placeholder overflow" `Quick test_placeholder_overflow;
           Alcotest.test_case "placeholder in a literal" `Quick test_placeholder_in_literal;
+          Alcotest.test_case "typed binding" `Quick test_typed_binding;
+          Alcotest.test_case "templates pass the gates" `Quick test_exec_gates;
           Alcotest.test_case "writer gating" `Quick test_writer_gating;
           Alcotest.test_case "snapshot over wire" `Quick test_snapshot_over_wire;
           Alcotest.test_case "disconnect cleanup" `Quick test_disconnect_cleans_up;

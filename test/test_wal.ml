@@ -172,6 +172,47 @@ let test_wal_txn_record () =
   W.close w;
   Sys.remove wal
 
+(* Writes run as prepared templates with bound arguments reach the log
+   as the literal text they stand for, in autocommit and inside
+   BEGIN ... COMMIT, and replay to the same state. *)
+let test_wal_bound_writes () =
+  let wal = tmpfile "dkb_wal_bound.wal" in
+  let e = E.create () in
+  let w = W.open_log wal in
+  W.attach w e;
+  ignore (E.exec e "CREATE TABLE t (a integer, b char)");
+  ignore (E.exec e "CREATE INDEX idx_t_a ON t (a)");
+  let ins = E.prepare e "INSERT INTO t VALUES (?1, ?2)" in
+  let upd = E.prepare e "UPDATE t SET b = ?2 WHERE a = ?1" in
+  let del = E.prepare e "DELETE FROM t WHERE a = ?1" in
+  let copy = E.prepare e "INSERT INTO t SELECT a, ?2 FROM t WHERE a = ?1 AND b = ?3" in
+  let run p args = ignore (E.exec_prepared e ~args p) in
+  run ins [| V.Int 1; V.Str "it's" |];
+  run ins [| V.Int 2; V.Str "y" |];
+  ignore (E.exec e "BEGIN");
+  run upd [| V.Int 2; V.Str "?1" |];
+  run ins [| V.Int 3; V.Str "z" |];
+  run copy [| V.Int 3; V.Str "zz"; V.Str "z" |];
+  run del [| V.Int 1 |];
+  ignore (E.exec e "COMMIT");
+  Alcotest.(check (list string))
+    "records are literal text"
+    [
+      "CREATE TABLE t (a integer, b char)";
+      "CREATE INDEX idx_t_a ON t (a)";
+      "INSERT INTO t VALUES (1, 'it''s')";
+      "INSERT INTO t VALUES (2, 'y')";
+      "UPDATE t SET b = '?1' WHERE a = 2;\n\
+       INSERT INTO t VALUES (3, 'z');\n\
+       INSERT INTO t SELECT a, 'zz' FROM t WHERE a = 3 AND b = 'z';\n\
+       DELETE FROM t WHERE a = 1";
+    ]
+    (W.read_records wal);
+  let e2, _ = ok (W.recover ~db:missing_db ~wal ()) in
+  Alcotest.(check string) "recovered dump matches" (P.dump e) (P.dump e2);
+  W.close w;
+  Sys.remove wal
+
 (* ------------------------------------------------------------------ *)
 (* Fault-injection matrix *)
 
@@ -476,6 +517,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
           Alcotest.test_case "txn granularity" `Quick test_wal_txn_record;
+          Alcotest.test_case "bound writes log literal text" `Quick test_wal_bound_writes;
           Alcotest.test_case "crash matrix" `Quick test_crash_matrix;
           Alcotest.test_case "garbage tail" `Quick test_garbage_tail;
           Alcotest.test_case "checkpoint" `Quick test_checkpoint;
