@@ -725,7 +725,7 @@ let find_index_spec catalog name =
 (* Run an ad-hoc (uncached) plan, charging [stats]. The one-time closure
    compile is paid per execution here; repeated statements go through the
    prepared paths, which cache the compiled form. *)
-let run_plan stats plan = Exec_compiled.run (Exec_compiled.compile stats plan)
+let run_plan ?args stats plan = Exec_compiled.run ?args (Exec_compiled.compile stats plan)
 
 (* The rows of [table] a DELETE or UPDATE touches, found by a full scan.
    The scan is charged here, once, at the relation's page count; the
@@ -1213,7 +1213,7 @@ let snapshot_select t ~ts ~sql ~nparams ?args stmt =
           in
           emit_plan t plan;
           note_est_of_plan t plan;
-          let rows = Exec_compiled.run ?args (Exec_compiled.compile t.stats plan) in
+          let rows = run_plan ?args t.stats plan in
           let columns =
             Array.to_list (Array.map (fun c -> c.Plan.h_name) (Plan.header_of plan))
           in

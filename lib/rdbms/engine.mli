@@ -204,15 +204,10 @@ val exec_prepared : t -> ?args:Value.t array -> prepared -> result
     N [args], [args.(i)] binding [?(i+1)]: the cached plan and its
     compiled form read them in this execution (index-probe keys and range
     bounds included) and keep none after it. Raises [Sql_error] for a
-    wrong number of arguments or one not of its parameter's type
-    ({!param_types}). A write reaches the commit hook with its arguments
+    wrong number of arguments or one not of its parameter's type (see
+    {!Planner.param_types}). A write reaches the commit hook with its arguments
     printed as literals, the text the execution stands for, so the redo
     format is that of a literal statement. *)
-
-val param_types : t -> prepared -> Datatype.t array
-(** The types of [?1]..[?N] against the current catalog (see
-    {!Planner.param_types}), kept with the cached plan while it is
-    valid. Raises [Sql_error] for a parameter that cannot be typed. *)
 
 val args_of_text : t -> prepared -> string list -> Value.t array
 (** One execution's arguments given as text (a wire EXEC's words), each

@@ -183,18 +183,15 @@ let compile stats plan =
           produced (Batch.length out);
           out
     | Plan.Range_scan { oindex; lo; hi; filter; _ } ->
-        let bound =
-          Option.map (fun (e, inclusive) ->
-              let value = Plan.compile_rexpr args e in
-              fun () -> { Ordered_index.value = value [||]; inclusive })
-        in
+        let bound = Option.map (fun (e, inclusive) -> (Plan.compile_rexpr args e, inclusive)) in
         let lo = bound lo and hi = bound hi in
+        (* a bound is a literal or a parameter: no row to read *)
+        let at =
+          Option.map (fun (value, inclusive) -> { Ordered_index.value = value [||]; inclusive })
+        in
         let keep = compile_filter filter in
         fun node ->
-          let matched =
-            Ordered_index.range oindex ?lo:(Option.map (fun b -> b ()) lo)
-              ?hi:(Option.map (fun b -> b ()) hi) ()
-          in
+          let matched = Ordered_index.range oindex ?lo:(at lo) ?hi:(at hi) () in
           let bytes = List.fold_left (fun acc r -> acc + Tuple.byte_size r) 0 matched in
           charge_probe_bytes stats node bytes;
           let out = Batch.create () in
@@ -524,15 +521,9 @@ let compile stats plan =
 let with_args t args f =
   match args with
   | None -> f ()
-  | Some a -> (
+  | Some a ->
       t.args := a;
-      match f () with
-      | r ->
-          t.args := [||];
-          r
-      | exception e ->
-          t.args := [||];
-          raise e)
+      Fun.protect ~finally:(fun () -> t.args := [||]) f
 
 let run_batch ?args t = with_args t args (fun () -> t.exec None)
 let run ?args t = Batch.to_list (run_batch ?args t)

@@ -122,8 +122,7 @@ let literal_of_value = function
   | Value.Int n -> L_int n
   | Value.Str s -> L_str s
 
-(* Rebuild a statement with every literal passed through [f]: the one walk
-   behind parameter numbering and binding. *)
+(* Rebuild a statement with every literal passed through [f] (binding). *)
 let map_literals f stmt =
   let scalar = function Lit l -> Lit (f l) | Col _ as c -> c in
   let rec cond = function
@@ -163,16 +162,46 @@ let map_literals f stmt =
   | Rollback | Analyze _ ->
       stmt
 
+(* The same walk without the rebuild, so counting a statement's
+   parameters allocates nothing for one that has none. *)
+let iter_literals f stmt =
+  let scalar = function Lit l -> f l | Col _ -> () in
+  let rec cond = function
+    | Cmp (a, _, b) ->
+        scalar a;
+        scalar b
+    | And (a, b) | Or (a, b) ->
+        cond a;
+        cond b
+    | Not c -> cond c
+    | Not_exists c -> core c
+  and core c =
+    List.iter
+      (function
+        | Sel_expr (e, _) | Sel_agg (_, e, _) -> scalar e | Sel_star | Sel_count_star _ -> ())
+      c.items;
+    Option.iter cond c.where
+  in
+  let rec query = function
+    | Q_select c -> core c
+    | Q_union (a, b) | Q_union_all (a, b) | Q_except (a, b) ->
+        query a;
+        query b
+  in
+  match stmt with
+  | Insert_values { rows; _ } -> List.iter (List.iter f) rows
+  | Insert_select { query = q; _ } | Delete_in { query = q; _ } | Select { query = q; _ } -> query q
+  | Delete { where; _ } -> Option.iter cond where
+  | Update { sets; where; _ } ->
+      List.iter (fun (_, e) -> scalar e) sets;
+      Option.iter cond where
+  | Create_table _ | Drop_table _ | Truncate _ | Create_index _ | Drop_index _ | Begin | Commit
+  | Rollback | Analyze _ ->
+      ()
+
 let param_indexes stmt =
   let seen = ref [] in
-  ignore
-    (map_literals
-       (function
-         | L_param n as l ->
-             seen := n :: !seen;
-             l
-         | l -> l)
-       stmt);
+  iter_literals (function L_param n -> seen := n :: !seen | L_int _ | L_str _ -> ()) stmt;
   List.sort_uniq compare !seen
 
 let bind args stmt =
