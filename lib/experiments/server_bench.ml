@@ -58,10 +58,8 @@ let connect port = cok (Client.connect ~port ())
 let think_s = 0.001
 
 (* cycle the point-select key over a hot set of ids. Each EXEC binds its
-   key to the connection's template, parsed and planned once, so the set's
-   size no longer decides whether a request replans (it did while EXEC
-   spliced its arguments into new text for the 512-entry statement
-   cache); it only bounds the rows the reads touch *)
+   key to the connection's template, parsed and planned once, so every
+   key reuses that plan; the set only bounds the rows the reads touch *)
 let hot_keys = 64
 
 let worker ~rows ~ops ~wstride ~base c =

@@ -200,8 +200,8 @@ perfbench_smoke() {
   echo "derive (traced): $ROWS rows inserted for $NEW new tuples (<= 2.3 per tuple)"
   # a traced wire run: each connection's templates are parsed and planned
   # once and every EXEC binds its arguments to them, so no op builds a
-  # plan after warm-up (arguments spliced into new SQL text built ~0.52
-  # plans per op)
+  # plan after warm-up (splicing the arguments into new SQL text would
+  # build ~0.52 plans per op)
   traced wire
   PLANS=$(metric engine.plans_built) || exit 1
   awk -v p="$PLANS" 'BEGIN { exit !(p <= 0.01) }' \

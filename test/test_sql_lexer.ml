@@ -61,6 +61,23 @@ let test_integer_overflow () =
        false
      with L.Lex_error ("integer literal out of range", 4) -> true)
 
+(* ?N is a parameter token outside quotes and text inside them; ?0 and
+   an index past [int] are lex errors at the parameter. *)
+let test_parameters () =
+  Alcotest.(check (list tok)) "parameters" [ L.IDENT "k"; L.EQ; L.PARAM 12; L.STRING "?1"; L.EOF ]
+    (toks "k = ?12 '?1'");
+  let fails input =
+    try
+      ignore (L.tokenize input);
+      None
+    with L.Lex_error (msg, pos) -> Some (msg, pos)
+  in
+  Alcotest.(check (option (pair string int))) "?0" (Some ("parameters are numbered from ?1, found ?0", 4))
+    (fails "a = ?0");
+  Alcotest.(check (option (pair string int)))
+    "too large" (Some ("parameter ?99999999999999999999 out of range", 4))
+    (fails "a = ?99999999999999999999")
+
 let test_offsets () =
   let offsets = List.map snd (L.tokenize "ab cd") in
   Alcotest.(check (list int)) "token offsets" [ 0; 3; 5 ] offsets
@@ -81,5 +98,6 @@ let () =
           Alcotest.test_case "bad char" `Quick test_bad_char;
           Alcotest.test_case "offsets" `Quick test_offsets;
           Alcotest.test_case "integer overflow" `Quick test_integer_overflow;
+          Alcotest.test_case "parameters" `Quick test_parameters;
         ] );
     ]
