@@ -17,7 +17,7 @@
      SHUTDOWN                   stop the whole server
 
    PREPARE parses the template once for the connection and answers ERR
-   for a syntax error. EXEC binds its words, single quotes grouping
+   for a syntax error (the name then holds no template). EXEC binds its words, single quotes grouping
    spaces, to ?1..?N as typed values: each parameter takes the type of
    the column it meets, so for a char column 007 is the string '007',
    and for an integer column an argument that is not a decimal integer
